@@ -198,13 +198,13 @@ int Main(int argc, char** argv) {
   BenchRunnerOptions uncached_opts;
   uncached_opts.threads = 1;
   uncached_opts.seed = args.seed;
-  uncached_opts.use_block_cache = false;
+  uncached_opts.engine = ExecEngine::kSingleStep;
   std::vector<TaskResult> uncached;
   double uncached_ms = 0;
   run_leg(uncached_opts, &uncached, &uncached_ms);
 
   BenchRunnerOptions cached_opts = uncached_opts;
-  cached_opts.use_block_cache = true;
+  cached_opts.engine = ExecEngine::kBlockCache;
   std::vector<TaskResult> cached;
   double cached_ms = 0;
   run_leg(cached_opts, &cached, &cached_ms);

@@ -332,7 +332,7 @@ int Run(const ChaosOptions& opts) {
             run.max_steps = 4'000'000'000ULL;
             run.deadline_us = opts.hang_deadline_us;
             if (!health.block_cache_enabled()) {
-              run.use_block_cache = false;
+              run.engine = ExecEngine::kSingleStep;
             }
             const SteadyClock::time_point t0 = SteadyClock::now();
             const RunResult r = cpu->CallFunction("sys_spin", {}, run);
@@ -349,7 +349,7 @@ int Run(const ChaosOptions& opts) {
           } else {
             RunOptions run;
             if (!health.block_cache_enabled()) {
-              run.use_block_cache = false;
+              run.engine = ExecEngine::kSingleStep;
             }
             const RunResult r = cpu->CallFunction(witness_op, {*buffer}, run);
             if (r.reason != StopReason::kReturned || r.rax != golden.rax) {

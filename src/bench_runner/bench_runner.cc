@@ -46,14 +46,12 @@ TaskResult BenchRunner::RunOne(const BenchTask& task) const {
   }
   RunOptions run;
   run.max_steps = options_.max_steps;
-  run.use_block_cache = options_.use_block_cache;
   run.engine = options_.engine;
   run.deadline_us = options_.deadline_us;
   // Degradation ladder: once the block cache is quarantined, every task
   // falls back to the single-step engine (same semantics, no predecode
   // risk) — superblocks are predecoded state too, so they degrade with it.
   if (options_.health != nullptr && !options_.health->block_cache_enabled()) {
-    run.use_block_cache = false;
     run.engine = ExecEngine::kSingleStep;
   }
   std::atomic<uint64_t>* pc_slot = nullptr;

@@ -72,11 +72,9 @@ struct TaskResult {
 struct BenchRunnerOptions {
   int threads = 1;
   uint64_t seed = 0xB0F;         // source-corpus and build seed
-  bool use_block_cache = true;   // forwarded to every RunOptions
-  // Engine selection forwarded to every RunOptions; kAuto defers to
-  // use_block_cache (the historical mapping). The bench_perf superblock
-  // phase sets ExecEngine::kSuperblock here.
-  ExecEngine engine = ExecEngine::kAuto;
+  // Engine selection forwarded to every RunOptions. bench_perf's phase 1
+  // runs the matrix once per engine.
+  ExecEngine engine = ExecEngine::kBlockCache;
   uint64_t max_steps = 50'000'000;
   // Supervision hooks (all optional). A deadline preempts a runaway task's
   // guest run (StopReason::kDeadlineExceeded); `health` lets the degradation

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "src/isa/instruction.h"
 #include "src/isa/opcode.h"
 
 namespace krx {
@@ -53,6 +54,11 @@ struct CostModel {
   // Cost of one dynamic instruction (excluding per-iteration string costs,
   // which the interpreter adds per element).
   uint64_t CostOf(Opcode op) const;
+  // The same, refined by operands: a rip-relative (constant-address) load
+  // costs load_riprel.
+  uint64_t CostOf(const Instruction& inst) const {
+    return inst.op == Opcode::kLoad && inst.mem.rip_relative ? load_riprel : CostOf(inst.op);
+  }
 };
 
 }  // namespace krx

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <unordered_map>
 
+#include "src/cpu/semantics.h"
 #include "src/isa/encoding.h"
 #include "src/kernel/baseline_defenses.h"
 #include "src/rerand/quiesce.h"
@@ -16,88 +17,6 @@ namespace {
 // split into consecutive blocks; correctness is unaffected.
 constexpr size_t kMaxBlockInsts = 64;
 }  // namespace
-
-void InstMix::Count(Opcode op) {
-  switch (op) {
-    case Opcode::kLoad:
-    case Opcode::kAddRM:
-    case Opcode::kCmpRM:
-    case Opcode::kCmpMI:
-      ++loads;
-      break;
-    case Opcode::kXorMR:
-      ++loads;  // read-modify-write: counts as a load and a store
-      ++stores;
-      break;
-    case Opcode::kStore:
-    case Opcode::kStoreImm:
-      ++stores;
-      break;
-    case Opcode::kLea:
-      ++lea;
-      break;
-    case Opcode::kJcc:
-      ++branches;
-      break;
-    case Opcode::kJmpRel:
-    case Opcode::kJmpR:
-    case Opcode::kJmpM:
-      ++jumps;
-      break;
-    case Opcode::kCallRel:
-    case Opcode::kCallR:
-    case Opcode::kCallM:
-      ++calls;
-      break;
-    case Opcode::kRet:
-      ++rets;
-      break;
-    case Opcode::kPushR:
-    case Opcode::kPopR:
-      ++pushpop;
-      break;
-    case Opcode::kPushfq:
-      ++pushfq;
-      break;
-    case Opcode::kPopfq:
-      ++popfq;
-      break;
-    case Opcode::kBndcu:
-      ++bndcu;
-      break;
-    case Opcode::kMovsq:
-    case Opcode::kLodsq:
-    case Opcode::kStosq:
-    case Opcode::kCmpsq:
-    case Opcode::kScasq:
-      ++string_ops;
-      break;
-    case Opcode::kMovRR:
-    case Opcode::kMovRI:
-    case Opcode::kAddRR:
-    case Opcode::kAddRI:
-    case Opcode::kSubRR:
-    case Opcode::kSubRI:
-    case Opcode::kAndRR:
-    case Opcode::kAndRI:
-    case Opcode::kOrRR:
-    case Opcode::kOrRI:
-    case Opcode::kXorRR:
-    case Opcode::kXorRI:
-    case Opcode::kShlRI:
-    case Opcode::kShrRI:
-    case Opcode::kImulRR:
-    case Opcode::kCmpRR:
-    case Opcode::kCmpRI:
-    case Opcode::kTestRR:
-    case Opcode::kMaskRI:
-      ++alu;
-      break;
-    default:
-      ++other;
-      break;
-  }
-}
 
 const char* StopReasonName(StopReason reason) {
   switch (reason) {
@@ -155,20 +74,6 @@ void Cpu::RefreshKrxHandlerRange() {
   }
 }
 
-uint64_t Cpu::EffectiveAddress(const MemOperand& mem, uint64_t rip_next) const {
-  if (mem.rip_relative) {
-    return rip_next + static_cast<uint64_t>(mem.disp);
-  }
-  uint64_t ea = static_cast<uint64_t>(mem.disp);
-  if (mem.has_base()) {
-    ea += regs_[RegIndex(mem.base)];
-  }
-  if (mem.has_index()) {
-    ea += regs_[RegIndex(mem.index)] * mem.scale;
-  }
-  return ea;
-}
-
 bool Cpu::DataRead64(uint64_t vaddr, uint64_t* value) {
   auto v = mmu_.Read64(vaddr);
   if (v.ok() && image_->destructive_code_reads()) {
@@ -210,47 +115,6 @@ bool Cpu::DataWrite64(uint64_t vaddr, uint64_t value) {
     image_->BumpTextGeneration();
   }
   return true;
-}
-
-void Cpu::SetFlagsSub(uint64_t a, uint64_t b) {
-  uint64_t res = a - b;
-  rflags_.zf = res == 0;
-  rflags_.sf = (res >> 63) != 0;
-  rflags_.cf = a < b;
-  rflags_.of = (((a ^ b) & (a ^ res)) >> 63) != 0;
-}
-
-void Cpu::SetFlagsAdd(uint64_t a, uint64_t b) {
-  uint64_t res = a + b;
-  rflags_.zf = res == 0;
-  rflags_.sf = (res >> 63) != 0;
-  rflags_.cf = res < a;
-  rflags_.of = ((~(a ^ b) & (a ^ res)) >> 63) != 0;
-}
-
-void Cpu::SetFlagsLogic(uint64_t result) {
-  rflags_.zf = result == 0;
-  rflags_.sf = (result >> 63) != 0;
-  rflags_.cf = false;
-  rflags_.of = false;
-}
-
-bool Cpu::EvalCond(Cond c) const {
-  switch (c) {
-    case Cond::kE: return rflags_.zf;
-    case Cond::kNe: return !rflags_.zf;
-    case Cond::kA: return !rflags_.cf && !rflags_.zf;
-    case Cond::kAe: return !rflags_.cf;
-    case Cond::kB: return rflags_.cf;
-    case Cond::kBe: return rflags_.cf || rflags_.zf;
-    case Cond::kG: return !rflags_.zf && rflags_.sf == rflags_.of;
-    case Cond::kGe: return rflags_.sf == rflags_.of;
-    case Cond::kL: return rflags_.sf != rflags_.of;
-    case Cond::kLe: return rflags_.zf || rflags_.sf != rflags_.of;
-    case Cond::kS: return rflags_.sf;
-    case Cond::kNs: return !rflags_.sf;
-  }
-  return false;
 }
 
 void Cpu::RaiseException(ExceptionKind kind, uint64_t addr) {
@@ -300,396 +164,11 @@ bool Cpu::FetchDecode(Instruction* inst, uint8_t* inst_size) {
 }
 
 bool Cpu::ExecuteInst(const Instruction& in, uint8_t inst_size) {
-  const uint64_t rip_next = rip_ + inst_size;
-  uint64_t next = rip_next;
-
-  ++pending_.instructions;
-  pending_.mix.Count(in.op);
-  if (in.op == Opcode::kLoad && in.mem.rip_relative) {
-    pending_.deci_cycles += cost_.load_riprel;
-  } else {
-    pending_.deci_cycles += cost_.CostOf(in.op);
-  }
-
-  auto reg = [&](Reg r) -> uint64_t& { return regs_[RegIndex(r)]; };
-  auto goto_target = [&](uint64_t target) {
-    if (target == kReturnSentinel) {
-      pending_.reason = StopReason::kReturned;
-      pending_.rax = reg(Reg::kRax);
-      stopped_ = true;
-      return;
-    }
-    next = target;
-  };
-
-  switch (in.op) {
-    case Opcode::kNop:
-    case Opcode::kWrmsr:
-    case Opcode::kSyscall:
-    case Opcode::kSysret:
-      break;
-    case Opcode::kHlt:
-      pending_.reason = StopReason::kHalted;
-      stopped_ = true;
-      break;
-    case Opcode::kInt3:
-      RaiseException(ExceptionKind::kBreakpoint, rip_);
-      break;
-    case Opcode::kUd2:
-      RaiseException(ExceptionKind::kInvalidOpcode, rip_);
-      break;
-
-    case Opcode::kMovRR:
-      reg(in.r1) = reg(in.r2);
-      break;
-    case Opcode::kMovRI:
-      reg(in.r1) = static_cast<uint64_t>(in.imm);
-      break;
-    case Opcode::kLoad: {
-      uint64_t v;
-      if (!DataRead64(EffectiveAddress(in.mem, rip_next), &v)) {
-        break;
-      }
-      reg(in.r1) = v;
-      break;
-    }
-    case Opcode::kStore:
-      DataWrite64(EffectiveAddress(in.mem, rip_next), reg(in.r1));
-      break;
-    case Opcode::kStoreImm:
-      DataWrite64(EffectiveAddress(in.mem, rip_next), static_cast<uint64_t>(in.imm));
-      break;
-    case Opcode::kLea:
-      reg(in.r1) = EffectiveAddress(in.mem, rip_next);
-      break;
-    case Opcode::kPushR:
-      reg(Reg::kRsp) -= 8;
-      DataWrite64(reg(Reg::kRsp), reg(in.r1));
-      break;
-    case Opcode::kPopR: {
-      uint64_t v;
-      if (!DataRead64(reg(Reg::kRsp), &v)) {
-        break;
-      }
-      reg(in.r1) = v;
-      reg(Reg::kRsp) += 8;
-      break;
-    }
-    case Opcode::kPushfq:
-      reg(Reg::kRsp) -= 8;
-      DataWrite64(reg(Reg::kRsp), rflags_.ToBits());
-      break;
-    case Opcode::kPopfq: {
-      uint64_t v;
-      if (!DataRead64(reg(Reg::kRsp), &v)) {
-        break;
-      }
-      rflags_.FromBits(v);
-      reg(Reg::kRsp) += 8;
-      break;
-    }
-
-    case Opcode::kAddRR:
-      SetFlagsAdd(reg(in.r1), reg(in.r2));
-      reg(in.r1) += reg(in.r2);
-      break;
-    case Opcode::kAddRI:
-      SetFlagsAdd(reg(in.r1), static_cast<uint64_t>(in.imm));
-      reg(in.r1) += static_cast<uint64_t>(in.imm);
-      break;
-    case Opcode::kSubRR:
-      SetFlagsSub(reg(in.r1), reg(in.r2));
-      reg(in.r1) -= reg(in.r2);
-      break;
-    case Opcode::kSubRI:
-      SetFlagsSub(reg(in.r1), static_cast<uint64_t>(in.imm));
-      reg(in.r1) -= static_cast<uint64_t>(in.imm);
-      break;
-    case Opcode::kAndRR:
-      reg(in.r1) &= reg(in.r2);
-      SetFlagsLogic(reg(in.r1));
-      break;
-    case Opcode::kAndRI:
-      reg(in.r1) &= static_cast<uint64_t>(in.imm);
-      SetFlagsLogic(reg(in.r1));
-      break;
-    case Opcode::kOrRR:
-      reg(in.r1) |= reg(in.r2);
-      SetFlagsLogic(reg(in.r1));
-      break;
-    case Opcode::kOrRI:
-      reg(in.r1) |= static_cast<uint64_t>(in.imm);
-      SetFlagsLogic(reg(in.r1));
-      break;
-    case Opcode::kXorRR:
-      reg(in.r1) ^= reg(in.r2);
-      SetFlagsLogic(reg(in.r1));
-      break;
-    case Opcode::kXorRI:
-      reg(in.r1) ^= static_cast<uint64_t>(in.imm);
-      SetFlagsLogic(reg(in.r1));
-      break;
-    case Opcode::kShlRI: {
-      uint64_t k = static_cast<uint64_t>(in.imm) & 63;
-      uint64_t v = reg(in.r1);
-      rflags_.cf = k > 0 && ((v >> (64 - k)) & 1) != 0;
-      v <<= k;
-      reg(in.r1) = v;
-      rflags_.zf = v == 0;
-      rflags_.sf = (v >> 63) != 0;
-      rflags_.of = false;
-      break;
-    }
-    case Opcode::kShrRI: {
-      uint64_t k = static_cast<uint64_t>(in.imm) & 63;
-      uint64_t v = reg(in.r1);
-      rflags_.cf = k > 0 && ((v >> (k - 1)) & 1) != 0;
-      v >>= k;
-      reg(in.r1) = v;
-      rflags_.zf = v == 0;
-      rflags_.sf = false;
-      rflags_.of = false;
-      break;
-    }
-    case Opcode::kImulRR: {
-      uint64_t v = reg(in.r1) * reg(in.r2);
-      reg(in.r1) = v;
-      SetFlagsLogic(v);
-      break;
-    }
-    case Opcode::kCmpRR:
-      SetFlagsSub(reg(in.r1), reg(in.r2));
-      break;
-    case Opcode::kCmpRI:
-      SetFlagsSub(reg(in.r1), static_cast<uint64_t>(in.imm));
-      break;
-    case Opcode::kTestRR:
-      SetFlagsLogic(reg(in.r1) & reg(in.r2));
-      break;
-
-    case Opcode::kAddRM: {
-      uint64_t v;
-      if (!DataRead64(EffectiveAddress(in.mem, rip_next), &v)) {
-        break;
-      }
-      SetFlagsAdd(reg(in.r1), v);
-      reg(in.r1) += v;
-      break;
-    }
-    case Opcode::kCmpRM: {
-      uint64_t v;
-      if (!DataRead64(EffectiveAddress(in.mem, rip_next), &v)) {
-        break;
-      }
-      SetFlagsSub(reg(in.r1), v);
-      break;
-    }
-    case Opcode::kCmpMI: {
-      uint64_t v;
-      if (!DataRead64(EffectiveAddress(in.mem, rip_next), &v)) {
-        break;
-      }
-      SetFlagsSub(v, static_cast<uint64_t>(in.imm));
-      break;
-    }
-    case Opcode::kXorMR: {
-      uint64_t ea = EffectiveAddress(in.mem, rip_next);
-      uint64_t v;
-      if (!DataRead64(ea, &v)) {
-        break;
-      }
-      v ^= reg(in.r1);
-      SetFlagsLogic(v);
-      DataWrite64(ea, v);
-      break;
-    }
-
-    case Opcode::kJmpRel:
-      goto_target(rip_next + static_cast<uint64_t>(in.imm));
-      break;
-    case Opcode::kJcc: {
-      const bool taken = EvalCond(in.cond);
-      if (options_.spec.enabled) {
-        ++spec_stats_.predictions;
-        const bool predicted = predictor_.PredictTaken(rip_);
-        if (predicted != taken) {
-          // Misprediction: the frontend already steered down the wrong path.
-          // Simulate it against shadow state up to the window depth, then
-          // discard everything but the cache footprint.
-          ++spec_stats_.mispredictions;
-          SpeculateWrongPath(predicted ? rip_next + static_cast<uint64_t>(in.imm)
-                                       : rip_next);
-        }
-        predictor_.Update(rip_, taken);
-      }
-      if (taken) {
-        goto_target(rip_next + static_cast<uint64_t>(in.imm));
-      }
-      break;
-    }
-    case Opcode::kJmpR:
-      goto_target(reg(in.r1));
-      break;
-    case Opcode::kJmpM: {
-      uint64_t v;
-      if (!DataRead64(EffectiveAddress(in.mem, rip_next), &v)) {
-        break;
-      }
-      goto_target(v);
-      break;
-    }
-    case Opcode::kCallRel:
-      reg(Reg::kRsp) -= 8;
-      if (!DataWrite64(reg(Reg::kRsp), rip_next)) {
-        break;
-      }
-      goto_target(rip_next + static_cast<uint64_t>(in.imm));
-      break;
-    case Opcode::kCallR:
-      reg(Reg::kRsp) -= 8;
-      if (!DataWrite64(reg(Reg::kRsp), rip_next)) {
-        break;
-      }
-      goto_target(reg(in.r1));
-      break;
-    case Opcode::kCallM: {
-      uint64_t v;
-      if (!DataRead64(EffectiveAddress(in.mem, rip_next), &v)) {
-        break;
-      }
-      reg(Reg::kRsp) -= 8;
-      if (!DataWrite64(reg(Reg::kRsp), rip_next)) {
-        break;
-      }
-      goto_target(v);
-      break;
-    }
-    case Opcode::kRet: {
-      uint64_t v;
-      if (!DataRead64(reg(Reg::kRsp), &v)) {
-        break;
-      }
-      reg(Reg::kRsp) += 8;
-      goto_target(v);
-      break;
-    }
-
-    case Opcode::kMovsq:
-    case Opcode::kLodsq:
-    case Opcode::kStosq:
-    case Opcode::kCmpsq:
-    case Opcode::kScasq: {
-      const int64_t step = rflags_.df ? -8 : 8;
-      auto one = [&]() -> bool {
-        uint64_t v;
-        switch (in.op) {
-          case Opcode::kMovsq:
-            if (!DataRead64(reg(Reg::kRsi), &v) || !DataWrite64(reg(Reg::kRdi), v)) {
-              return false;
-            }
-            reg(Reg::kRsi) += static_cast<uint64_t>(step);
-            reg(Reg::kRdi) += static_cast<uint64_t>(step);
-            return true;
-          case Opcode::kLodsq:
-            if (!DataRead64(reg(Reg::kRsi), &v)) {
-              return false;
-            }
-            reg(Reg::kRax) = v;
-            reg(Reg::kRsi) += static_cast<uint64_t>(step);
-            return true;
-          case Opcode::kStosq:
-            if (!DataWrite64(reg(Reg::kRdi), reg(Reg::kRax))) {
-              return false;
-            }
-            reg(Reg::kRdi) += static_cast<uint64_t>(step);
-            return true;
-          case Opcode::kCmpsq: {
-            uint64_t w;
-            if (!DataRead64(reg(Reg::kRsi), &v) || !DataRead64(reg(Reg::kRdi), &w)) {
-              return false;
-            }
-            SetFlagsSub(v, w);
-            reg(Reg::kRsi) += static_cast<uint64_t>(step);
-            reg(Reg::kRdi) += static_cast<uint64_t>(step);
-            return true;
-          }
-          case Opcode::kScasq:
-            if (!DataRead64(reg(Reg::kRdi), &v)) {
-              return false;
-            }
-            SetFlagsSub(reg(Reg::kRax), v);
-            reg(Reg::kRdi) += static_cast<uint64_t>(step);
-            return true;
-          default:
-            return false;
-        }
-      };
-      if (!in.rep) {
-        pending_.deci_cycles += cost_.string_per_iter;
-        one();
-      } else {
-        const bool conditional = in.op == Opcode::kCmpsq || in.op == Opcode::kScasq;
-        // A corrupted or hostile image can enter a rep with an enormous
-        // %rcx; bound the host-side loop by the run's step budget so the
-        // interpreter always terminates (the run ends as kStepLimit).
-        uint64_t iterations = 0;
-        while (reg(Reg::kRcx) != 0 && !stopped_) {
-          if (++iterations > max_steps_) {
-            pending_.reason = StopReason::kStepLimit;
-            stopped_ = true;
-            break;
-          }
-          pending_.deci_cycles += cost_.string_per_iter;
-          if (!one()) {
-            break;
-          }
-          reg(Reg::kRcx) -= 1;
-          if (conditional && !rflags_.zf) {  // repe semantics
-            break;
-          }
-        }
-      }
-      break;
-    }
-
-    case Opcode::kBndcu: {
-      uint64_t ea = EffectiveAddress(in.mem, rip_next);
-      if (ea > bnd0_ub_) {
-        RaiseException(ExceptionKind::kBoundRange, ea);
-      }
-      break;
-    }
-    case Opcode::kLoadBnd0:
-      bnd0_ub_ = static_cast<uint64_t>(in.imm);
-      break;
-
-    case Opcode::kSpecFence:
-      // Architecturally a serializing nop; the window-kill semantics live in
-      // SpeculateWrongPath.
-      break;
-    case Opcode::kMaskRI: {
-      uint64_t v = reg(in.r1);
-      reg(in.r1) = v > static_cast<uint64_t>(in.imm) ? 0 : v;
-      break;
-    }
-
-    case Opcode::kNumOpcodes:
-      RaiseException(ExceptionKind::kInvalidOpcode, rip_);
-      break;
-  }
-
-  if (stopped_) {
+  ArchMachine m{*this};
+  m.Account(in.op, cost_.CostOf(in));
+  ExecuteOp(m, in.op, in, rip_, rip_ + inst_size);
+  if (!m.Retire()) {
     return false;
-  }
-  rip_ = next;
-  if (sample_pc_slot_ != nullptr) {
-    sample_pc_slot_->store(next, std::memory_order_relaxed);
-  }
-  if (heartbeat_slot_ != nullptr) {
-    // Watchdog heartbeat: pending_.instructions is never zero here (it was
-    // incremented when this instruction retired), so a nonzero-and-frozen
-    // slot across ticks distinguishes "wedged" from "idle" (slot == 0).
-    heartbeat_slot_->store(pending_.instructions, std::memory_order_relaxed);
   }
   if (step_observer_) {
     step_observer_(*this);
@@ -697,450 +176,213 @@ bool Cpu::ExecuteInst(const Instruction& in, uint8_t inst_size) {
   return true;
 }
 
-// Simulates the wrong path of a mispredicted conditional branch. Everything
-// runs against copies (registers, flags, %bnd0) and a store overlay; the
-// only effects that survive are the SideChannelObserver's cache-line
-// records and the spec.* counters. Accounting deliberately never touches
-// pending_: a run with the window enabled must produce a RunResult
-// bit-identical to the same run with it disabled (the fuzz-differential
-// spec axis pins this down).
-//
-// Transient semantics that differ from the architectural path:
-//  - kSpecFence kills the window (that IS the spec-barrier mitigation);
-//  - a failing kBndcu defers its #BR past the window instead of trapping —
-//    the dependent load still issues (the MPX transient bypass);
-//  - nested kJcc follows the predictor (the machine is already speculating,
-//    so it speculates again) and consumes window depth without rollback;
-//  - faults (unmapped/forbidden translations, undecodable bytes) and
-//    serializing/privileged/microcoded ops (hlt, int3, ud2, syscall,
-//    sysret, wrmsr, bndmov, string ops) end the window silently.
-void Cpu::SpeculateWrongPath(uint64_t wrong_rip) {
-  ++spec_stats_.windows_opened;
+void Cpu::PredictBranch(uint64_t rip, bool taken, uint64_t taken_rip,
+                        uint64_t fallthrough_rip) {
+  ++spec_stats_.predictions;
+  const bool predicted = predictor_.PredictTaken(rip);
+  if (predicted != taken) {
+    // Misprediction: the frontend already steered down the wrong path.
+    // Simulate it against shadow state up to the window depth, then
+    // discard everything but the cache footprint.
+    ++spec_stats_.mispredictions;
+    SpeculateWrongPath(predicted ? taken_rip : fallthrough_rip);
+  }
+  predictor_.Update(rip, taken);
+}
 
-  // Shadow state: wrong-path execution sees the architectural state at the
-  // branch, plus its own stores (via the overlay, a model of the store
-  // buffer — never drained to memory).
-  uint64_t regs[kNumGpRegs];
-  for (int i = 0; i < kNumGpRegs; ++i) regs[i] = regs_[i];
-  RFlags fl = rflags_;
-  uint64_t bnd0 = bnd0_ub_;
-  uint64_t rip = wrong_rip;
+// The speculation window's machine. Wrong-path execution sees the
+// architectural state at the branch, copied into shadow registers, flags
+// and %bnd0, plus its own stores through an overlay (a model of the store
+// buffer, never drained to memory). Semantics that differ from the
+// architectural machine:
+//  - data accesses walk the page table without side effects and read
+//    physical memory directly, bypassing Mmu::Read64 (no TLB counters, no
+//    fault record, no destructive-code-read byte-smashing, no XnR
+//    disclosure handling); every touched data line goes to the observer;
+//  - faults (unmapped or forbidden translations) end the window silently;
+//  - nested conditional branches follow the predictor (the machine is
+//    already speculating, so it speculates again) and consume window depth
+//    without rollback;
+//  - a failing bndcu defers its #BR past the window instead of trapping —
+//    the dependent load still issues (the MPX transient bypass).
+struct Cpu::TransientMachine {
+  Cpu& c;
+  uint64_t regs[kNumGpRegs] = {};
+  RFlags flags;
+  uint64_t bnd0;
   std::unordered_map<uint64_t, uint64_t> overlay;
+  uint64_t next = 0;
+  bool ended = false;  // the current instruction ended the window
 
-  const PageTable& pt = image_->page_table();
-  const PhysMem& phys = image_->phys();
-  const bool smap = mmu_.smap();
-  const bool smep = mmu_.smep();
+  explicit TransientMachine(Cpu& cpu) : c(cpu), flags(cpu.rflags_), bnd0(cpu.bnd0_ub_) {
+    for (int i = 0; i < kNumGpRegs; ++i) regs[i] = cpu.regs_[i];
+  }
 
-  // Side-effect-free data translation: straight page-table walk + physical
-  // read, bypassing Mmu::Read64 (no TLB counters, no fault record, no
-  // destructive-code-read byte-smashing, no XnR disclosure handling).
-  auto data_paddr = [&](uint64_t vaddr, uint64_t* paddr) -> bool {
-    const Pte* pte = pt.Lookup(vaddr);
-    if (pte == nullptr || !pte->flags.present) return false;
-    if (smap && pte->flags.user) return false;
-    const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;
-    *paddr = (frame << kPageShift) | PageOffset(vaddr);
-    return true;
-  };
-  auto touch = [&](uint64_t paddr) {
-    if (side_channel_ != nullptr) {
-      side_channel_->Touch(paddr);
+  uint64_t& R(Reg r) { return regs[RegIndex(r)]; }
+  RFlags& Flags() { return flags; }
+  uint64_t& Bnd0() { return bnd0; }
+
+  bool Read(uint64_t vaddr, uint64_t* value) {
+    uint64_t p_lo = 0, p_hi = 0;
+    if (!DataPaddr(vaddr, &p_lo) || !DataPaddr(vaddr + 7, &p_hi)) {
+      return Fault();
     }
-    ++spec_stats_.lines_touched;
-  };
-  auto shadow_read = [&](uint64_t vaddr, uint64_t* value) -> bool {
-    uint64_t p_lo, p_hi;
-    if (!data_paddr(vaddr, &p_lo) || !data_paddr(vaddr + 7, &p_hi)) {
-      return false;
-    }
-    touch(p_lo);
-    touch(p_hi);
-    auto it = overlay.find(vaddr);
-    if (it != overlay.end()) {
+    Touch(p_lo);
+    Touch(p_hi);
+    if (auto it = overlay.find(vaddr); it != overlay.end()) {
       *value = it->second;
       return true;
     }
+    const PhysMem& phys = c.image_->phys();
     if (PageOffset(vaddr) <= kPageSize - 8) {
       *value = phys.Read64(p_lo);
-    } else {
-      uint64_t v = 0;
-      for (uint64_t i = 0; i < 8; ++i) {
-        uint64_t p;
-        if (!data_paddr(vaddr + i, &p)) return false;
-        v |= static_cast<uint64_t>(phys.Read8(p)) << (8 * i);
-      }
-      *value = v;
+      return true;
     }
+    uint64_t v = 0;
+    for (uint64_t i = 0; i < 8; ++i) {
+      uint64_t p = 0;
+      if (!DataPaddr(vaddr + i, &p)) {
+        return Fault();
+      }
+      v |= static_cast<uint64_t>(phys.Read8(p)) << (8 * i);
+    }
+    *value = v;
     return true;
-  };
-  auto shadow_write = [&](uint64_t vaddr, uint64_t value) -> bool {
-    uint64_t p;
-    if (!data_paddr(vaddr, &p)) return false;
-    touch(p);
+  }
+
+  bool Write(uint64_t vaddr, uint64_t value) {
+    uint64_t p = 0;
+    if (!DataPaddr(vaddr, &p)) {
+      return Fault();
+    }
+    Touch(p);
     overlay[vaddr] = value;
     return true;
-  };
-  // Wrong-path instruction fetch: present, executable, SMEP-permitted
-  // pages only; fetches always use the instruction frame (not the XnR data
-  // frame) and leave no I-cache record — the observer models the D-side
-  // channel only.
-  auto shadow_fetch = [&](uint64_t vaddr, uint8_t* buf) -> size_t {
+  }
+
+  void Jump(uint64_t target) { next = target; }
+
+  bool Branch(Cond, uint64_t rip, uint64_t, uint64_t) {
+    ++c.spec_stats_.nested_branches;
+    return c.predictor_.PredictTaken(rip);
+  }
+
+  // The #BR is deferred to retirement — which never comes for a wrong-path
+  // instruction.
+  void BoundRange(uint64_t) { ++c.spec_stats_.transient_br_deferred; }
+
+  // The window ends before serializing and string ops (EndsWindow), so
+  // these only guard against an opcode slipping past that filter.
+  void Trap(ExceptionKind, uint64_t) { ended = true; }
+  void Halt() { ended = true; }
+  bool StringIter(uint64_t) {
+    ended = true;
+    return false;
+  }
+
+  // Wrong-path instruction fetch: present, executable, SMEP-permitted pages
+  // only; fetches always use the instruction frame (not the XnR data frame)
+  // and leave no I-cache record — the observer models the D-side channel
+  // only.
+  size_t Fetch(uint64_t vaddr, uint8_t* buf) const {
+    const PageTable& pt = c.image_->page_table();
     size_t n = 0;
     for (; n < 16; ++n) {
       const Pte* pte = pt.Lookup(vaddr + n);
       if (pte == nullptr || !pte->flags.present || pte->flags.nx) break;
-      if (smep && pte->flags.user) break;
-      buf[n] = phys.Read8((pte->frame << kPageShift) | PageOffset(vaddr + n));
+      if (c.mmu_.smep() && pte->flags.user) break;
+      buf[n] = c.image_->phys().Read8((pte->frame << kPageShift) | PageOffset(vaddr + n));
     }
     return n;
-  };
+  }
 
-  auto flags_sub = [&](uint64_t a, uint64_t b) {
-    const uint64_t res = a - b;
-    fl.zf = res == 0;
-    fl.sf = (res >> 63) != 0;
-    fl.cf = a < b;
-    fl.of = (((a ^ b) & (a ^ res)) >> 63) != 0;
-  };
-  auto flags_add = [&](uint64_t a, uint64_t b) {
-    const uint64_t res = a + b;
-    fl.zf = res == 0;
-    fl.sf = (res >> 63) != 0;
-    fl.cf = res < a;
-    fl.of = ((~(a ^ b) & (a ^ res)) >> 63) != 0;
-  };
-  auto flags_logic = [&](uint64_t result) {
-    fl.zf = result == 0;
-    fl.sf = (result >> 63) != 0;
-    fl.cf = false;
-    fl.of = false;
-  };
+ private:
+  bool DataPaddr(uint64_t vaddr, uint64_t* paddr) const {
+    const Pte* pte = c.image_->page_table().Lookup(vaddr);
+    if (pte == nullptr || !pte->flags.present) return false;
+    if (c.mmu_.smap() && pte->flags.user) return false;
+    const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;
+    *paddr = (frame << kPageShift) | PageOffset(vaddr);
+    return true;
+  }
 
-  auto r = [&](Reg rg) -> uint64_t& { return regs[RegIndex(rg)]; };
-  auto ea_of = [&](const MemOperand& mem, uint64_t rip_next) -> uint64_t {
-    if (mem.rip_relative) {
-      return rip_next + static_cast<uint64_t>(mem.disp);
+  void Touch(uint64_t paddr) {
+    if (c.side_channel_ != nullptr) {
+      c.side_channel_->Touch(paddr);
     }
-    uint64_t ea = static_cast<uint64_t>(mem.disp);
-    if (mem.has_base()) ea += regs[RegIndex(mem.base)];
-    if (mem.has_index()) ea += regs[RegIndex(mem.index)] * mem.scale;
-    return ea;
-  };
+    ++c.spec_stats_.lines_touched;
+  }
 
+  bool Fault() {
+    ++c.spec_stats_.transient_faults;
+    ended = true;
+    return false;
+  }
+};
+
+namespace {
+
+// Serializing, privileged and microcoded ops end a speculation window
+// before they execute.
+bool EndsWindow(Opcode op) {
+  switch (op) {
+    case Opcode::kHlt:
+    case Opcode::kInt3:
+    case Opcode::kUd2:
+    case Opcode::kSyscall:
+    case Opcode::kSysret:
+    case Opcode::kWrmsr:
+    case Opcode::kLoadBnd0:
+    case Opcode::kMovsq:
+    case Opcode::kLodsq:
+    case Opcode::kStosq:
+    case Opcode::kCmpsq:
+    case Opcode::kScasq:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+// Simulates the wrong path of a mispredicted conditional branch through the
+// shared semantics on a TransientMachine. The only effects that survive
+// are the SideChannelObserver's cache-line records and the spec.* counters.
+// Accounting deliberately never touches pending_: a run with the window
+// enabled must produce a RunResult bit-identical to the same run with it
+// disabled (the fuzz-differential spec axis pins this down).
+void Cpu::SpeculateWrongPath(uint64_t wrong_rip) {
+  ++spec_stats_.windows_opened;
+  TransientMachine m(*this);
+  uint64_t rip = wrong_rip;
   for (uint32_t depth = 0; depth < options_.spec.window_depth; ++depth) {
     if (rip == kReturnSentinel) {
       break;  // the wrong path speculated out of the kernel
     }
-    uint8_t buf[16];
-    const size_t fetched = shadow_fetch(rip, buf);
-    if (fetched == 0) {
-      ++spec_stats_.transient_faults;
-      break;
-    }
+    uint8_t buf[16] = {};
+    const size_t fetched = m.Fetch(rip, buf);
     auto dec = DecodeInstruction(buf, fetched, 0);
-    if (!dec.ok()) {
-      ++spec_stats_.transient_faults;
+    if (fetched == 0 || !dec.ok()) {
+      ++spec_stats_.transient_faults;  // undecodable bytes end it silently
       break;
     }
     const Instruction& in = dec->inst;
-    const uint64_t rip_next = rip + dec->size;
-    uint64_t next = rip_next;
     ++spec_stats_.wrong_path_insts;
-
-    bool kill = false;
-    auto mem_fault = [&]() {
-      ++spec_stats_.transient_faults;
-      kill = true;
-    };
-    switch (in.op) {
-      case Opcode::kNop:
-        break;
-      case Opcode::kSpecFence:
-        ++spec_stats_.fence_kills;
-        kill = true;
-        break;
-      case Opcode::kHlt:
-      case Opcode::kInt3:
-      case Opcode::kUd2:
-      case Opcode::kSyscall:
-      case Opcode::kSysret:
-      case Opcode::kWrmsr:
-      case Opcode::kLoadBnd0:
-      case Opcode::kMovsq:
-      case Opcode::kLodsq:
-      case Opcode::kStosq:
-      case Opcode::kCmpsq:
-      case Opcode::kScasq:
-        kill = true;
-        break;
-
-      case Opcode::kMovRR:
-        r(in.r1) = r(in.r2);
-        break;
-      case Opcode::kMovRI:
-        r(in.r1) = static_cast<uint64_t>(in.imm);
-        break;
-      case Opcode::kLoad: {
-        uint64_t v;
-        if (!shadow_read(ea_of(in.mem, rip_next), &v)) {
-          mem_fault();
-          break;
-        }
-        r(in.r1) = v;
-        break;
-      }
-      case Opcode::kStore:
-        if (!shadow_write(ea_of(in.mem, rip_next), r(in.r1))) mem_fault();
-        break;
-      case Opcode::kStoreImm:
-        if (!shadow_write(ea_of(in.mem, rip_next), static_cast<uint64_t>(in.imm))) {
-          mem_fault();
-        }
-        break;
-      case Opcode::kLea:
-        r(in.r1) = ea_of(in.mem, rip_next);
-        break;
-      case Opcode::kPushR:
-        r(Reg::kRsp) -= 8;
-        if (!shadow_write(r(Reg::kRsp), r(in.r1))) mem_fault();
-        break;
-      case Opcode::kPopR: {
-        uint64_t v;
-        if (!shadow_read(r(Reg::kRsp), &v)) {
-          mem_fault();
-          break;
-        }
-        r(in.r1) = v;
-        r(Reg::kRsp) += 8;
-        break;
-      }
-      case Opcode::kPushfq:
-        r(Reg::kRsp) -= 8;
-        if (!shadow_write(r(Reg::kRsp), fl.ToBits())) mem_fault();
-        break;
-      case Opcode::kPopfq: {
-        uint64_t v;
-        if (!shadow_read(r(Reg::kRsp), &v)) {
-          mem_fault();
-          break;
-        }
-        fl.FromBits(v);
-        r(Reg::kRsp) += 8;
-        break;
-      }
-
-      case Opcode::kAddRR:
-        flags_add(r(in.r1), r(in.r2));
-        r(in.r1) += r(in.r2);
-        break;
-      case Opcode::kAddRI:
-        flags_add(r(in.r1), static_cast<uint64_t>(in.imm));
-        r(in.r1) += static_cast<uint64_t>(in.imm);
-        break;
-      case Opcode::kSubRR:
-        flags_sub(r(in.r1), r(in.r2));
-        r(in.r1) -= r(in.r2);
-        break;
-      case Opcode::kSubRI:
-        flags_sub(r(in.r1), static_cast<uint64_t>(in.imm));
-        r(in.r1) -= static_cast<uint64_t>(in.imm);
-        break;
-      case Opcode::kAndRR:
-        r(in.r1) &= r(in.r2);
-        flags_logic(r(in.r1));
-        break;
-      case Opcode::kAndRI:
-        r(in.r1) &= static_cast<uint64_t>(in.imm);
-        flags_logic(r(in.r1));
-        break;
-      case Opcode::kOrRR:
-        r(in.r1) |= r(in.r2);
-        flags_logic(r(in.r1));
-        break;
-      case Opcode::kOrRI:
-        r(in.r1) |= static_cast<uint64_t>(in.imm);
-        flags_logic(r(in.r1));
-        break;
-      case Opcode::kXorRR:
-        r(in.r1) ^= r(in.r2);
-        flags_logic(r(in.r1));
-        break;
-      case Opcode::kXorRI:
-        r(in.r1) ^= static_cast<uint64_t>(in.imm);
-        flags_logic(r(in.r1));
-        break;
-      case Opcode::kShlRI: {
-        const uint64_t k = static_cast<uint64_t>(in.imm) & 63;
-        uint64_t v = r(in.r1);
-        fl.cf = k > 0 && ((v >> (64 - k)) & 1) != 0;
-        v <<= k;
-        r(in.r1) = v;
-        fl.zf = v == 0;
-        fl.sf = (v >> 63) != 0;
-        fl.of = false;
-        break;
-      }
-      case Opcode::kShrRI: {
-        const uint64_t k = static_cast<uint64_t>(in.imm) & 63;
-        uint64_t v = r(in.r1);
-        fl.cf = k > 0 && ((v >> (k - 1)) & 1) != 0;
-        v >>= k;
-        r(in.r1) = v;
-        fl.zf = v == 0;
-        fl.sf = false;
-        fl.of = false;
-        break;
-      }
-      case Opcode::kImulRR: {
-        const uint64_t v = r(in.r1) * r(in.r2);
-        r(in.r1) = v;
-        flags_logic(v);
-        break;
-      }
-      case Opcode::kCmpRR:
-        flags_sub(r(in.r1), r(in.r2));
-        break;
-      case Opcode::kCmpRI:
-        flags_sub(r(in.r1), static_cast<uint64_t>(in.imm));
-        break;
-      case Opcode::kTestRR:
-        flags_logic(r(in.r1) & r(in.r2));
-        break;
-      case Opcode::kMaskRI: {
-        const uint64_t v = r(in.r1);
-        r(in.r1) = v > static_cast<uint64_t>(in.imm) ? 0 : v;
-        break;
-      }
-
-      case Opcode::kAddRM: {
-        uint64_t v;
-        if (!shadow_read(ea_of(in.mem, rip_next), &v)) {
-          mem_fault();
-          break;
-        }
-        flags_add(r(in.r1), v);
-        r(in.r1) += v;
-        break;
-      }
-      case Opcode::kCmpRM: {
-        uint64_t v;
-        if (!shadow_read(ea_of(in.mem, rip_next), &v)) {
-          mem_fault();
-          break;
-        }
-        flags_sub(r(in.r1), v);
-        break;
-      }
-      case Opcode::kCmpMI: {
-        uint64_t v;
-        if (!shadow_read(ea_of(in.mem, rip_next), &v)) {
-          mem_fault();
-          break;
-        }
-        flags_sub(v, static_cast<uint64_t>(in.imm));
-        break;
-      }
-      case Opcode::kXorMR: {
-        const uint64_t ea = ea_of(in.mem, rip_next);
-        uint64_t v;
-        if (!shadow_read(ea, &v)) {
-          mem_fault();
-          break;
-        }
-        v ^= r(in.r1);
-        flags_logic(v);
-        if (!shadow_write(ea, v)) mem_fault();
-        break;
-      }
-
-      case Opcode::kJmpRel:
-        next = rip_next + static_cast<uint64_t>(in.imm);
-        break;
-      case Opcode::kJcc:
-        // Nested speculation: follow the predictor (not the shadow flags)
-        // and consume window depth; the bounded window never unwinds
-        // nested levels individually.
-        ++spec_stats_.nested_branches;
-        if (predictor_.PredictTaken(rip)) {
-          next = rip_next + static_cast<uint64_t>(in.imm);
-        }
-        break;
-      case Opcode::kJmpR:
-        next = r(in.r1);
-        break;
-      case Opcode::kJmpM: {
-        uint64_t v;
-        if (!shadow_read(ea_of(in.mem, rip_next), &v)) {
-          mem_fault();
-          break;
-        }
-        next = v;
-        break;
-      }
-      case Opcode::kCallRel:
-        r(Reg::kRsp) -= 8;
-        if (!shadow_write(r(Reg::kRsp), rip_next)) {
-          mem_fault();
-          break;
-        }
-        next = rip_next + static_cast<uint64_t>(in.imm);
-        break;
-      case Opcode::kCallR:
-        r(Reg::kRsp) -= 8;
-        if (!shadow_write(r(Reg::kRsp), rip_next)) {
-          mem_fault();
-          break;
-        }
-        next = r(in.r1);
-        break;
-      case Opcode::kCallM: {
-        uint64_t v;
-        if (!shadow_read(ea_of(in.mem, rip_next), &v)) {
-          mem_fault();
-          break;
-        }
-        r(Reg::kRsp) -= 8;
-        if (!shadow_write(r(Reg::kRsp), rip_next)) {
-          mem_fault();
-          break;
-        }
-        next = v;
-        break;
-      }
-      case Opcode::kRet: {
-        uint64_t v;
-        if (!shadow_read(r(Reg::kRsp), &v)) {
-          mem_fault();
-          break;
-        }
-        r(Reg::kRsp) += 8;
-        next = v;
-        break;
-      }
-
-      case Opcode::kBndcu: {
-        const uint64_t ea = ea_of(in.mem, rip_next);
-        if (ea > bnd0) {
-          // The #BR is deferred to retirement — which never comes for a
-          // wrong-path instruction. The dependent load still issues: this
-          // is the MPX transient bypass.
-          ++spec_stats_.transient_br_deferred;
-        }
-        break;
-      }
-
-      case Opcode::kNumOpcodes:
-        kill = true;
-        break;
-    }
-    if (kill) {
+    if (in.op == Opcode::kSpecFence) {
+      ++spec_stats_.fence_kills;  // that IS the spec-barrier mitigation
       break;
     }
-    rip = next;
+    if (EndsWindow(in.op)) {
+      break;
+    }
+    ExecuteOp(m, in.op, in, rip, rip + dec->size);
+    if (m.ended) {
+      break;
+    }
+    rip = m.next;
   }
-  // Rollback: shadow registers, flags, and the store overlay are simply
-  // dropped. Only the observer's line records (and these counters) remain.
+  // Rollback: the shadow machine and its store overlay are simply dropped.
 }
 
 bool Cpu::Step() {
@@ -1369,30 +611,22 @@ RunResult Cpu::RunInner(const RunOptions& options, bool entered_via_call) {
   if (deadline_armed_) {
     deadline_ = std::chrono::steady_clock::now() + std::chrono::microseconds(options.deadline_us);
   }
-  const bool charge = options.mode_switch == RunOptions::ModeSwitch::kAuto
-                          ? entered_via_call
-                          : options.mode_switch == RunOptions::ModeSwitch::kCharge;
-  if (charge) {
+  // CallFunction is a simulated syscall entry and pays the user->kernel
+  // mode switch; RunAt is a hijacked raw control transfer and does not.
+  if (entered_via_call) {
     pending_.deci_cycles += cost_.mode_switch;
     if (options_.mpx_enabled) {
       pending_.deci_cycles += cost_.mpx_mode_switch_extra;
     }
   }
   // The step observer must fire at every single-stepped instruction
-  // boundary; XnR turns fetch faults into the defense mechanism itself;
-  // destructive code reads mutate text bytes without a paging event; and
-  // the speculation window must observe every conditional branch as it
-  // retires. All four force the canonical fetch-decode-execute path,
-  // whichever engine the run asked for.
+  // boundary; XnR turns fetch faults into the defense mechanism itself; and
+  // destructive code reads mutate text bytes without a paging event. All
+  // three force the canonical fetch-decode-execute path, whichever engine
+  // the run asked for.
   const bool cacheable = step_observer_ == nullptr && image_->xnr() == nullptr &&
-                         !image_->destructive_code_reads() && !options_.spec.enabled;
-  ExecEngine engine = options.engine;
-  if (engine == ExecEngine::kAuto) {
-    engine = options.use_block_cache ? ExecEngine::kBlockCache : ExecEngine::kSingleStep;
-  }
-  if (!cacheable) {
-    engine = ExecEngine::kSingleStep;
-  }
+                         !image_->destructive_code_reads();
+  const ExecEngine engine = cacheable ? options.engine : ExecEngine::kSingleStep;
   if (engine == ExecEngine::kSuperblock) {
     return RunSuperblocked();
   }

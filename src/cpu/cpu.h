@@ -7,12 +7,13 @@
 // raises a breakpoint exception (the tripwire mechanism), and translation
 // failures surface as page faults. Cycle accounting follows CostModel.
 //
-// Two execution engines share one instruction-execution path:
-//   - single-step: fetch + decode + execute every retired instruction;
-//   - block-cached (default): predecode straight-line basic blocks once and
-//     replay them (src/cpu/block_cache.h), bit-identical results, decode
-//     cost amortized away. A step observer, XnR, or destructive code reads
-//     force single-step mode (see RunOptions::use_block_cache).
+// Instruction semantics are written once, as one opcode switch templated
+// over a machine policy (src/cpu/semantics.h). Three execution engines
+// retire through it (see ExecEngine): single-step, the predecoded block
+// cache (the default) and the superblock engine. With the speculation
+// window enabled (CpuOptions::spec) a mispredicted conditional branch also
+// runs the wrong path through it, against shadow state. A step observer,
+// XnR or destructive code reads force single-step.
 //
 // Each Cpu owns its own Mmu view (translation state, fault record, TLB
 // counters) over the image's shared page table and physical memory, so many
@@ -99,8 +100,6 @@ struct InstMix {
   uint64_t string_ops = 0;
   uint64_t other = 0;
 
-  void Count(Opcode op);
-
   bool operator==(const InstMix&) const = default;
 };
 
@@ -130,8 +129,8 @@ struct CpuOptions {
   bool mpx_enabled = false;  // kernel reserves %bnd0 = [_krx_edata]
   uint64_t stack_pages = 4;  // 16KB kernel stack, like THREAD_SIZE
   // Transient-execution window (src/spec/spec.h). Off by default; enabling
-  // it forces single-step execution and makes every mispredicted
-  // conditional branch simulate a bounded wrong path against shadow state.
+  // it makes every mispredicted conditional branch simulate a bounded wrong
+  // path against shadow state, under whichever engine the run uses.
   SpecConfig spec;
 };
 
@@ -144,38 +143,25 @@ inline constexpr uint64_t kDefaultMaxSteps = 2'000'000;
 // fuzz-differential engine axis pins this down); they differ only in how
 // much decode/dispatch work is amortized:
 //   - kSingleStep: fetch + decode + execute every retired instruction;
-//   - kBlockCache: predecode straight-line blocks once, replay them;
+//   - kBlockCache (the default): predecode straight-line blocks once,
+//     replay them;
 //   - kSuperblock: chain predecoded blocks across static and well-predicted
 //     transfers, dispatch through per-instruction handler pointers, and
 //     serve in-page data accesses from an inline translation cache
 //     (src/cpu/superblock/superblock.h).
-// kAuto preserves the legacy RunOptions::use_block_cache mapping. Runs that
-// are ineligible for cached execution (step observer, XnR, destructive code
-// reads, speculation window) fall back to single-step regardless.
-enum class ExecEngine : uint8_t { kAuto = 0, kSingleStep, kBlockCache, kSuperblock };
+// Runs that are ineligible for cached execution (step observer, XnR,
+// destructive code reads) fall back to single-step regardless.
+enum class ExecEngine : uint8_t { kSingleStep, kBlockCache, kSuperblock };
 
 // Per-run knobs, shared by CallFunction and RunAt.
 struct RunOptions {
   uint64_t max_steps = kDefaultMaxSteps;
-  // Whether the run is charged the user->kernel mode-switch cost. kAuto
-  // preserves the historical contract: CallFunction (a simulated syscall
-  // entry) charges it, RunAt (a hijacked raw control transfer) does not.
-  enum class ModeSwitch : uint8_t { kAuto, kCharge, kSkip };
-  ModeSwitch mode_switch = ModeSwitch::kAuto;
-  // Execute through the predecoded-block cache. Forced off for the whole
-  // run when a step observer is installed (the observer must see every
-  // single-stepped instruction boundary), under XnR (fetch faults are the
-  // defense) and under destructive code reads (decoded bytes self-destruct).
-  bool use_block_cache = true;
   // Wall-clock budget for the run in microseconds; 0 = unbounded. A run
   // past its deadline is preempted at the next block boundary (cached) or
   // within 1024 instructions (single-step) into a kDeadlineExceeded result
   // — the supervision layer's answer to runaway-but-progressing guests.
   uint64_t deadline_us = 0;
-  // Engine selection; kAuto maps use_block_cache (above) so existing call
-  // sites keep their historical behavior. Setting this to a concrete engine
-  // makes use_block_cache irrelevant.
-  ExecEngine engine = ExecEngine::kAuto;
+  ExecEngine engine = ExecEngine::kBlockCache;
 };
 
 class Cpu {
@@ -219,9 +205,8 @@ class Cpu {
                          const RunOptions& options = RunOptions());
 
   // Raw execution starting at `rip` with current register state — the
-  // primitive a hijacked control transfer gives an attacker. Under
-  // ModeSwitch::kAuto no mode-switch cost is added and the stack is left
-  // wherever %rsp points.
+  // primitive a hijacked control transfer gives an attacker. No mode-switch
+  // cost is added and the stack is left wherever %rsp points.
   RunResult RunAt(uint64_t rip, const RunOptions& options = RunOptions());
 
   // Sentinel return address that terminates a CallFunction run.
@@ -308,8 +293,12 @@ class Cpu {
   }
 
  private:
-  // Specialized superblock instruction handlers (src/cpu/superblock/
-  // sb_exec.cc); nested so they share the Cpu's private execution state.
+  // Machine policies of the shared opcode switch (src/cpu/semantics.h),
+  // nested so they reach the Cpu's private execution state: the
+  // architectural machine, the speculation window's shadow machine, and
+  // the superblock handlers (src/cpu/superblock/sb_exec.cc).
+  struct ArchMachine;
+  struct TransientMachine;
   struct SbOps;
 
   RunResult CallFunctionImpl(uint64_t entry, const std::vector<uint64_t>& args,
@@ -333,18 +322,16 @@ class Cpu {
   // Predecodes the straight-line block starting at `start` (may be empty).
   DecodedBlock BuildBlock(uint64_t start);
 
-  uint64_t EffectiveAddress(const MemOperand& mem, uint64_t rip_next) const;
   bool DataRead64(uint64_t vaddr, uint64_t* value);
   bool DataWrite64(uint64_t vaddr, uint64_t value);
-  void SetFlagsSub(uint64_t a, uint64_t b);
-  void SetFlagsAdd(uint64_t a, uint64_t b);
-  void SetFlagsLogic(uint64_t result);
-  bool EvalCond(Cond c) const;
   void RaiseException(ExceptionKind kind, uint64_t addr);
   // Preempt request pending, or (when armed, sampled every 1024th step) the
   // run's wall-clock deadline passed.
   bool PreemptDue(uint64_t step);
 
+  // The speculation hook of a retiring conditional branch (spec enabled):
+  // predict, open a window on a misprediction, train the predictor.
+  void PredictBranch(uint64_t rip, bool taken, uint64_t taken_rip, uint64_t fallthrough_rip);
   // Transient execution: simulates the wrong path starting at `wrong_rip`
   // against shadow register/memory state for up to spec.window_depth
   // instructions, recording touched data lines into the observer, then

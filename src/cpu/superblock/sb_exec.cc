@@ -1,56 +1,29 @@
 // Superblock engine: chain construction, the chained dispatch loop, and the
-// specialized per-opcode handlers (Cpu::SbOps).
+// per-opcode handlers (Cpu::SbOps).
 //
-// Bit-identicality discipline: every fast handler is a line-for-line replica
-// of the matching ExecuteInst case — same accounting prologue (instruction
-// count, mix bucket, deci-cycle cost), same fault ordering (e.g. the push
-// %rsp decrement persists when the store faults), same retirement epilogue
-// (stopped check, %rip update, profiler/heartbeat slot stores). The step
-// observer is never consulted: installing one makes the run ineligible for
-// this engine, exactly as for the block cache. Anything without a fast
-// handler retires through Generic, which delegates wholesale to ExecuteInst
-// (which does its own accounting — the dispatcher accounts nothing).
+// The handlers hold no semantics of their own: each hot opcode's handler is
+// the shared opcode switch (src/cpu/semantics.h) instantiated on
+// SbOps::Machine with the opcode fixed at compile time. Machine is the
+// architectural machine with two differences — the deci-cycle cost was
+// precomputed at chain build time, and in-page data accesses go through
+// the chain's inline TLB — so bit-identity with the other engines holds by
+// construction. The step observer is never consulted: installing one makes
+// the run ineligible for this engine, exactly as for the block cache.
+// Anything without a hot handler retires through Generic, which delegates
+// wholesale to ExecuteInst (the dispatcher accounts nothing).
 #include "src/cpu/cpu.h"
+#include "src/cpu/semantics.h"
 
 namespace krx {
 
-// Specialized handlers. A nested struct (not a namespace) so the handlers
-// see Cpu's private state without widening its public surface.
 struct Cpu::SbOps {
-  // Accounting prologue shared by the fast handlers: the mix bucket is a
-  // compile-time member pointer (the opcode is known per handler) and the
-  // deci-cycle cost was precomputed at build time (including the
-  // rip-relative-load special case).
-  template <uint64_t InstMix::*Bucket>
-  static void Account(Cpu& c, const SbInst& si) {
-    ++c.pending_.instructions;
-    ++(c.pending_.mix.*Bucket);
-    c.pending_.deci_cycles += si.cost;
-  }
-
-  // Retirement epilogue, identical to the tail of ExecuteInst (minus the
-  // step observer, which forces single-step and is null here).
-  static bool Retire(Cpu& c, uint64_t next) {
-    if (c.stopped_) {
-      return false;
-    }
-    c.rip_ = next;
-    if (c.sample_pc_slot_ != nullptr) {
-      c.sample_pc_slot_->store(next, std::memory_order_relaxed);
-    }
-    if (c.heartbeat_slot_ != nullptr) {
-      c.heartbeat_slot_->store(c.pending_.instructions, std::memory_order_relaxed);
-    }
-    return true;
-  }
-
-  // goto_target's sentinel arm: control transferred to the harness sentinel.
-  static bool ReturnToHost(Cpu& c) {
-    c.pending_.reason = StopReason::kReturned;
-    c.pending_.rax = c.regs_[RegIndex(Reg::kRax)];
-    c.stopped_ = true;
-    return false;
-  }
+  // The architectural machine with the superblock's memory path. The
+  // accesses forward the Cpu, not the machine, so the machine stays in
+  // registers.
+  struct Machine : ArchMachine {
+    bool Read(uint64_t vaddr, uint64_t* value) { return ReadMem(c, vaddr, value); }
+    bool Write(uint64_t vaddr, uint64_t value) { return WriteMem(c, vaddr, value); }
+  };
 
   // Fills a direct-mapped TLB slot for the page containing `vaddr`.
   // `gen` must have been read from the page table *before* the Lookup: a
@@ -117,205 +90,14 @@ struct Cpu::SbOps {
     return c.DataWrite64(vaddr, value);
   }
 
-  static uint64_t& R(Cpu& c, Reg r) { return c.regs_[RegIndex(r)]; }
-
-  // --- Fast handlers (hottest ops by bench instruction mix) ---
-
-  static bool Nop(Cpu& c, const SbInst& si) {
-    Account<&InstMix::other>(c, si);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool MovRR(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    R(c, si.inst.r1) = R(c, si.inst.r2);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool MovRI(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    R(c, si.inst.r1) = static_cast<uint64_t>(si.inst.imm);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool Lea(Cpu& c, const SbInst& si) {
-    Account<&InstMix::lea>(c, si);
-    R(c, si.inst.r1) = c.EffectiveAddress(si.inst.mem, si.rip_next);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool Load(Cpu& c, const SbInst& si) {
-    Account<&InstMix::loads>(c, si);
-    uint64_t v;
-    if (ReadMem(c, c.EffectiveAddress(si.inst.mem, si.rip_next), &v)) {
-      R(c, si.inst.r1) = v;
-    }
-    return Retire(c, si.rip_next);
-  }
-
-  static bool Store(Cpu& c, const SbInst& si) {
-    Account<&InstMix::stores>(c, si);
-    WriteMem(c, c.EffectiveAddress(si.inst.mem, si.rip_next), R(c, si.inst.r1));
-    return Retire(c, si.rip_next);
-  }
-
-  static bool StoreImm(Cpu& c, const SbInst& si) {
-    Account<&InstMix::stores>(c, si);
-    WriteMem(c, c.EffectiveAddress(si.inst.mem, si.rip_next),
-             static_cast<uint64_t>(si.inst.imm));
-    return Retire(c, si.rip_next);
-  }
-
-  static bool PushR(Cpu& c, const SbInst& si) {
-    Account<&InstMix::pushpop>(c, si);
-    // The %rsp decrement persists when the store faults (ExecuteInst order).
-    R(c, Reg::kRsp) -= 8;
-    WriteMem(c, R(c, Reg::kRsp), R(c, si.inst.r1));
-    return Retire(c, si.rip_next);
-  }
-
-  static bool PopR(Cpu& c, const SbInst& si) {
-    Account<&InstMix::pushpop>(c, si);
-    uint64_t v;
-    if (ReadMem(c, R(c, Reg::kRsp), &v)) {
-      R(c, si.inst.r1) = v;
-      R(c, Reg::kRsp) += 8;
-    }
-    return Retire(c, si.rip_next);
-  }
-
-  static bool AddRR(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    c.SetFlagsAdd(R(c, si.inst.r1), R(c, si.inst.r2));
-    R(c, si.inst.r1) += R(c, si.inst.r2);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool AddRI(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    c.SetFlagsAdd(R(c, si.inst.r1), static_cast<uint64_t>(si.inst.imm));
-    R(c, si.inst.r1) += static_cast<uint64_t>(si.inst.imm);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool SubRR(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    c.SetFlagsSub(R(c, si.inst.r1), R(c, si.inst.r2));
-    R(c, si.inst.r1) -= R(c, si.inst.r2);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool SubRI(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    c.SetFlagsSub(R(c, si.inst.r1), static_cast<uint64_t>(si.inst.imm));
-    R(c, si.inst.r1) -= static_cast<uint64_t>(si.inst.imm);
-    return Retire(c, si.rip_next);
-  }
-
-  static bool CmpRR(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    c.SetFlagsSub(R(c, si.inst.r1), R(c, si.inst.r2));
-    return Retire(c, si.rip_next);
-  }
-
-  // The SFI range-check compare (cmp %reg, $_krx_edata).
-  static bool CmpRI(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    c.SetFlagsSub(R(c, si.inst.r1), static_cast<uint64_t>(si.inst.imm));
-    return Retire(c, si.rip_next);
-  }
-
-  static bool TestRR(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    c.SetFlagsLogic(R(c, si.inst.r1) & R(c, si.inst.r2));
-    return Retire(c, si.rip_next);
-  }
-
-  // The O2/O3 SFI address-mask clamp.
-  static bool MaskRI(Cpu& c, const SbInst& si) {
-    Account<&InstMix::alu>(c, si);
-    const uint64_t v = R(c, si.inst.r1);
-    R(c, si.inst.r1) = v > static_cast<uint64_t>(si.inst.imm) ? 0 : v;
-    return Retire(c, si.rip_next);
-  }
-
-  // The MPX bounds check.
-  static bool Bndcu(Cpu& c, const SbInst& si) {
-    Account<&InstMix::bndcu>(c, si);
-    const uint64_t ea = c.EffectiveAddress(si.inst.mem, si.rip_next);
-    if (ea > c.bnd0_ub_) {
-      c.RaiseException(ExceptionKind::kBoundRange, ea);
-    }
-    return Retire(c, si.rip_next);
-  }
-
-  // The SFI check's ja-to-handler (and every other conditional branch).
-  // Spec-window interplay needs no replica: speculation forces single-step.
-  static bool Jcc(Cpu& c, const SbInst& si) {
-    Account<&InstMix::branches>(c, si);
-    uint64_t next = si.rip_next;
-    if (c.EvalCond(si.inst.cond)) {
-      const uint64_t target = si.rip_next + static_cast<uint64_t>(si.inst.imm);
-      if (target == kReturnSentinel) {
-        return ReturnToHost(c);
-      }
-      next = target;
-    }
-    return Retire(c, next);
-  }
-
-  static bool JmpRel(Cpu& c, const SbInst& si) {
-    Account<&InstMix::jumps>(c, si);
-    const uint64_t target = si.rip_next + static_cast<uint64_t>(si.inst.imm);
-    if (target == kReturnSentinel) {
-      return ReturnToHost(c);
-    }
-    return Retire(c, target);
-  }
-
-  static bool CallRel(Cpu& c, const SbInst& si) {
-    Account<&InstMix::calls>(c, si);
-    R(c, Reg::kRsp) -= 8;
-    if (!WriteMem(c, R(c, Reg::kRsp), si.rip_next)) {
-      return Retire(c, si.rip_next);  // stopped_: surfaces the fault
-    }
-    const uint64_t target = si.rip_next + static_cast<uint64_t>(si.inst.imm);
-    if (target == kReturnSentinel) {
-      return ReturnToHost(c);
-    }
-    return Retire(c, target);
-  }
-
-  // Return — including the xkey-decoded variety: under -fret-xkey the
-  // decode is a separate kXorMR on (%rsp) retired just before this.
-  static bool Ret(Cpu& c, const SbInst& si) {
-    Account<&InstMix::rets>(c, si);
-    uint64_t v;
-    if (!ReadMem(c, R(c, Reg::kRsp), &v)) {
-      return Retire(c, si.rip_next);  // stopped_: surfaces the fault
-    }
-    R(c, Reg::kRsp) += 8;
-    if (v == kReturnSentinel) {
-      return ReturnToHost(c);
-    }
-    return Retire(c, v);
-  }
-
-  // The xkey return-address encode/decode (xor %key, (%rsp)): a
-  // read-modify-write, so it accounts a load and a store.
-  static bool XorMR(Cpu& c, const SbInst& si) {
-    ++c.pending_.instructions;
-    ++c.pending_.mix.loads;
-    ++c.pending_.mix.stores;
-    c.pending_.deci_cycles += si.cost;
-    const uint64_t ea = c.EffectiveAddress(si.inst.mem, si.rip_next);
-    uint64_t v;
-    if (ReadMem(c, ea, &v)) {
-      v ^= R(c, si.inst.r1);
-      c.SetFlagsLogic(v);
-      WriteMem(c, ea, v);
-    }
-    return Retire(c, si.rip_next);
+  // A hot opcode's handler: the shared semantics with `kOp` a compile-time
+  // constant, accounted with the cost precomputed at chain build time.
+  template <Opcode kOp>
+  static bool Fast(Cpu& c, const SbInst& si) {
+    Machine m{{c}};
+    m.Account(kOp, si.cost);
+    ExecuteOp(m, kOp, si.inst, si.rip, si.rip_next);
+    return m.Retire();
   }
 
   // Everything else: delegate to the canonical decoded-execute path, which
@@ -324,31 +106,34 @@ struct Cpu::SbOps {
     return c.ExecuteInst(si.inst, si.size);
   }
 
+  // The hot ops by bench instruction mix: the SFI cmp/ja range check and
+  // mask clamp, the MPX bndcu, mov rr/ri/load/store, push/pop, call/ret
+  // and the xkey return-address xor (xor %key, (%rsp)).
   static SbHandler HandlerFor(Opcode op) {
     switch (op) {
-      case Opcode::kNop: return &Nop;
-      case Opcode::kMovRR: return &MovRR;
-      case Opcode::kMovRI: return &MovRI;
-      case Opcode::kLea: return &Lea;
-      case Opcode::kLoad: return &Load;
-      case Opcode::kStore: return &Store;
-      case Opcode::kStoreImm: return &StoreImm;
-      case Opcode::kPushR: return &PushR;
-      case Opcode::kPopR: return &PopR;
-      case Opcode::kAddRR: return &AddRR;
-      case Opcode::kAddRI: return &AddRI;
-      case Opcode::kSubRR: return &SubRR;
-      case Opcode::kSubRI: return &SubRI;
-      case Opcode::kCmpRR: return &CmpRR;
-      case Opcode::kCmpRI: return &CmpRI;
-      case Opcode::kTestRR: return &TestRR;
-      case Opcode::kMaskRI: return &MaskRI;
-      case Opcode::kBndcu: return &Bndcu;
-      case Opcode::kJcc: return &Jcc;
-      case Opcode::kJmpRel: return &JmpRel;
-      case Opcode::kCallRel: return &CallRel;
-      case Opcode::kRet: return &Ret;
-      case Opcode::kXorMR: return &XorMR;
+      case Opcode::kNop: return &Fast<Opcode::kNop>;
+      case Opcode::kMovRR: return &Fast<Opcode::kMovRR>;
+      case Opcode::kMovRI: return &Fast<Opcode::kMovRI>;
+      case Opcode::kLea: return &Fast<Opcode::kLea>;
+      case Opcode::kLoad: return &Fast<Opcode::kLoad>;
+      case Opcode::kStore: return &Fast<Opcode::kStore>;
+      case Opcode::kStoreImm: return &Fast<Opcode::kStoreImm>;
+      case Opcode::kPushR: return &Fast<Opcode::kPushR>;
+      case Opcode::kPopR: return &Fast<Opcode::kPopR>;
+      case Opcode::kAddRR: return &Fast<Opcode::kAddRR>;
+      case Opcode::kAddRI: return &Fast<Opcode::kAddRI>;
+      case Opcode::kSubRR: return &Fast<Opcode::kSubRR>;
+      case Opcode::kSubRI: return &Fast<Opcode::kSubRI>;
+      case Opcode::kCmpRR: return &Fast<Opcode::kCmpRR>;
+      case Opcode::kCmpRI: return &Fast<Opcode::kCmpRI>;
+      case Opcode::kTestRR: return &Fast<Opcode::kTestRR>;
+      case Opcode::kMaskRI: return &Fast<Opcode::kMaskRI>;
+      case Opcode::kBndcu: return &Fast<Opcode::kBndcu>;
+      case Opcode::kJcc: return &Fast<Opcode::kJcc>;
+      case Opcode::kJmpRel: return &Fast<Opcode::kJmpRel>;
+      case Opcode::kCallRel: return &Fast<Opcode::kCallRel>;
+      case Opcode::kRet: return &Fast<Opcode::kRet>;
+      case Opcode::kXorMR: return &Fast<Opcode::kXorMR>;
       default: return &Generic;
     }
   }
@@ -384,9 +169,7 @@ Superblock Cpu::BuildSuperblock(uint64_t entry) {
       si.size = pi.size;
       si.rip = r;
       si.rip_next = r + pi.size;
-      si.cost = (pi.inst.op == Opcode::kLoad && pi.inst.mem.rip_relative)
-                    ? cost_.load_riprel
-                    : cost_.CostOf(pi.inst.op);
+      si.cost = cost_.CostOf(pi.inst);
       si.handler = SbOps::HandlerFor(pi.inst.op);
       si.fast = si.handler != &SbOps::Generic;
       si.next = static_cast<int32_t>(sb.insts.size()) + 1;  // straight-line

@@ -138,7 +138,6 @@ Result<WorkloadCounters> TenantFleet::Serve(int tenant_index, int worker) {
 
   RunOptions run;
   run.max_steps = options_.max_steps;
-  run.use_block_cache = options_.use_block_cache;
 
   WorkloadCounters counters;
   Status status;

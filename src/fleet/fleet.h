@@ -48,7 +48,6 @@ struct FleetOptions {
   // tenants with seed 0 also fall back to it.
   uint64_t base_seed = 0xB0F;
   int workers_per_tenant = 1;  // M Cpus per tenant
-  bool use_block_cache = true;
   uint64_t max_steps = 50'000'000;
   // Physical memory per tenant image; 0 keeps the base build's size. The
   // base source defaults to 64MB/tenant — fleets of 16+ tenants usually

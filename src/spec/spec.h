@@ -7,8 +7,9 @@
 // before the pipeline rolls back. This header holds the pieces the Cpu's
 // speculation engine is built from:
 //
-//  - SpecConfig: per-Cpu knobs (off by default; enabling forces the
-//    interpreter onto the single-step path so every branch is observed).
+//  - SpecConfig: per-Cpu knobs (off by default). The window is part of
+//    the shared conditional-branch semantics, so it runs under every
+//    execution engine.
 //  - BranchPredictor: a trainable direct-mapped table of 2-bit saturating
 //    counters. A misprediction opens a *window*: the Cpu simulates the
 //    wrong path against shadow register/memory state for up to
@@ -113,6 +114,8 @@ struct SpecStats {
   uint64_t transient_br_deferred = 0;  // bndcu #BR suppressed in-window
   uint64_t transient_faults = 0;       // windows ended by shadow faults
   uint64_t lines_touched = 0;          // wrong-path data touches recorded
+
+  bool operator==(const SpecStats&) const = default;
 };
 
 }  // namespace krx

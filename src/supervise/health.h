@@ -7,7 +7,7 @@
 //   aspect        failure signal                      degraded behaviour
 //   -----------   ---------------------------------   -------------------------
 //   kBlockCache   repeated generation-mismatch /      execute single-step
-//                 differential corruption             (use_block_cache = false)
+//                 differential corruption             (ExecEngine::kSingleStep)
 //   kRerandTimer  consecutive epoch rollbacks         timer trigger stopped;
 //                                                     manual epochs only
 //   kCpu          hard lockup (watchdog)              Cpu quarantined: no new

@@ -19,11 +19,11 @@ namespace krx {
 namespace {
 
 RunOptions Cached(uint64_t max_steps = kDefaultMaxSteps) {
-  return RunOptions{.max_steps = max_steps, .use_block_cache = true};
+  return RunOptions{.max_steps = max_steps, .engine = ExecEngine::kBlockCache};
 }
 
 RunOptions Uncached(uint64_t max_steps = kDefaultMaxSteps) {
-  return RunOptions{.max_steps = max_steps, .use_block_cache = false};
+  return RunOptions{.max_steps = max_steps, .engine = ExecEngine::kSingleStep};
 }
 
 // Every guest-visible field must match; wall time is the only thing the

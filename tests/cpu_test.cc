@@ -325,7 +325,7 @@ TEST(Cpu, StepLimit) {
   EXPECT_EQ(r.instructions, 1000u);
 }
 
-TEST(Cpu, CyclesAccumulateAndIncludeModeSwitch) {
+TEST(Cpu, CyclesAccumulateAndIncludeKernelEntryCost) {
   FunctionBuilder b("f");
   b.Emit(Instruction::MovRI(Reg::kRax, 1));
   b.Emit(Instruction::Ret());
@@ -336,7 +336,7 @@ TEST(Cpu, CyclesAccumulateAndIncludeModeSwitch) {
   EXPECT_EQ(r.deci_cycles, cost.mode_switch + cost.alu + cost.ret);
 }
 
-TEST(Cpu, MpxModeSwitchExtraCharged) {
+TEST(Cpu, MpxKernelEntryExtraCharged) {
   FunctionBuilder b("f");
   b.Emit(Instruction::Ret());
   MiniKernel mk = MakeKernel(b.Build(), LayoutKind::kKrx);

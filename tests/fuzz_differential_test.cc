@@ -5,6 +5,9 @@
 // invariant of DESIGN.md §5 exercised far beyond the hand-written ops.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+
 #include "src/base/rng.h"
 #include "src/isa/encoding.h"
 #include "src/ir/builder.h"
@@ -351,10 +354,10 @@ TEST_P(FuzzDifferential, CachedEngineMatchesUncached) {
 
     for (const std::string& fn : fns) {
       ASSERT_TRUE(FillOpBuffer(image, *buf, seed).ok());
-      RunResult u = uncached_cpu.CallFunction(fn, {*buf}, RunOptions{.use_block_cache = false});
+      RunResult u = uncached_cpu.CallFunction(fn, {*buf}, RunOptions{.engine = ExecEngine::kSingleStep});
       const uint64_t u_sum = RegionChecksum(image, *buf);
       ASSERT_TRUE(FillOpBuffer(image, *buf, seed).ok());
-      RunResult c = cached_cpu.CallFunction(fn, {*buf}, RunOptions{.use_block_cache = true});
+      RunResult c = cached_cpu.CallFunction(fn, {*buf}, RunOptions{.engine = ExecEngine::kBlockCache});
       ExpectSameRunResult(c, u, col.name + "/" + fn);
       EXPECT_EQ(RegionChecksum(image, *buf), u_sum) << col.name << "/" << fn;
     }
@@ -369,12 +372,12 @@ TEST_P(FuzzDifferential, CachedEngineMatchesUncached) {
     ASSERT_TRUE(image.PeekBytes(*entry, &orig, 1).ok());
     const uint8_t evil = 0xCC;  // does not decode: both engines must trap
     ASSERT_TRUE(image.PokeBytes(*entry, &evil, 1).ok());
-    RunResult u = uncached_cpu.CallFunction(fns[0], {*buf}, RunOptions{.use_block_cache = false});
-    RunResult c = cached_cpu.CallFunction(fns[0], {*buf}, RunOptions{.use_block_cache = true});
+    RunResult u = uncached_cpu.CallFunction(fns[0], {*buf}, RunOptions{.engine = ExecEngine::kSingleStep});
+    RunResult c = cached_cpu.CallFunction(fns[0], {*buf}, RunOptions{.engine = ExecEngine::kBlockCache});
     EXPECT_EQ(c.reason, StopReason::kException) << col.name;
     ExpectSameRunResult(c, u, col.name + "/corrupted " + fns[0]);
     ASSERT_TRUE(image.PokeBytes(*entry, &orig, 1).ok());
-    RunResult healed = cached_cpu.CallFunction(fns[0], {*buf}, RunOptions{.use_block_cache = true});
+    RunResult healed = cached_cpu.CallFunction(fns[0], {*buf}, RunOptions{.engine = ExecEngine::kBlockCache});
     EXPECT_EQ(healed.reason, StopReason::kReturned) << col.name;
   }
 }
@@ -505,8 +508,11 @@ TEST_P(FuzzDifferential, SuperblockEngineMatchesAcrossEpochs) {
 // every guest-visible RunResult field and in written memory — windows
 // retire nothing, charge nothing, and count nothing (DESIGN.md §15). Runs
 // the same random programs spec-on vs. spec-off across the check-emitting
-// configs plus both hardened axes; the spec-on Cpu's persistent predictor
-// guarantees plenty of real mispredictions along the way.
+// configs plus both hardened axes; the spec-on Cpus' persistent predictors
+// guarantee plenty of real mispredictions along the way. The window is part
+// of the shared branch semantics, so the spec-on run repeats on all three
+// engines, which must agree on the RunResults, the SpecStats and the
+// observer's line count.
 TEST_P(FuzzDifferential, SpecWindowInvisibleInRunResults) {
   const uint64_t seed = GetParam();
   KernelSource src = MakeBaseSource();
@@ -523,6 +529,8 @@ TEST_P(FuzzDifferential, SpecWindowInvisibleInRunResults) {
       {"spec-mask", ProtectionConfig::SpecHardened(SpecMitigation::kMask),
        LayoutKind::kKrx},
   };
+  const ExecEngine engines[] = {ExecEngine::kSingleStep, ExecEngine::kBlockCache,
+                                ExecEngine::kSuperblock};
   for (const Column& col : columns) {
     auto kernel = CompileKernel(src, {col.config, col.layout});
     ASSERT_TRUE(kernel.ok()) << col.name;
@@ -532,9 +540,12 @@ TEST_P(FuzzDifferential, SpecWindowInvisibleInRunResults) {
     CpuOptions spec_opts = plain_opts;
     spec_opts.spec.enabled = true;
     Cpu plain_cpu(&image, CostModel(), plain_opts);
-    Cpu spec_cpu(&image, CostModel(), spec_opts);
-    SideChannelObserver obs;
-    spec_cpu.set_side_channel_observer(&obs);
+    std::vector<std::unique_ptr<Cpu>> spec_cpus;
+    std::vector<SideChannelObserver> observers(std::size(engines));
+    for (size_t e = 0; e < std::size(engines); ++e) {
+      spec_cpus.push_back(std::make_unique<Cpu>(&image, CostModel(), spec_opts));
+      spec_cpus[e]->set_side_channel_observer(&observers[e]);
+    }
     auto buf = SetUpOpBuffer(image, seed);
     ASSERT_TRUE(buf.ok());
 
@@ -542,12 +553,23 @@ TEST_P(FuzzDifferential, SpecWindowInvisibleInRunResults) {
       ASSERT_TRUE(FillOpBuffer(image, *buf, seed).ok());
       RunResult p = plain_cpu.CallFunction(fn, {*buf});
       const uint64_t p_sum = RegionChecksum(image, *buf);
-      ASSERT_TRUE(FillOpBuffer(image, *buf, seed).ok());
-      RunResult s = spec_cpu.CallFunction(fn, {*buf});
-      ExpectSameRunResult(s, p, col.name + "/" + fn);
-      EXPECT_EQ(RegionChecksum(image, *buf), p_sum) << col.name << "/" << fn;
+      for (size_t e = 0; e < std::size(engines); ++e) {
+        const std::string context =
+            col.name + "/" + fn + "/engine" + std::to_string(static_cast<int>(engines[e]));
+        ASSERT_TRUE(FillOpBuffer(image, *buf, seed).ok());
+        RunResult s = spec_cpus[e]->CallFunction(fn, {*buf}, RunOptions{.engine = engines[e]});
+        ExpectSameRunResult(s, p, context);
+        EXPECT_EQ(RegionChecksum(image, *buf), p_sum) << context;
+      }
     }
-    EXPECT_GT(spec_cpu.spec_stats().predictions, 0u) << col.name;
+    EXPECT_GT(spec_cpus[0]->spec_stats().predictions, 0u) << col.name;
+    for (size_t e = 1; e < std::size(engines); ++e) {
+      EXPECT_TRUE(spec_cpus[e]->spec_stats() == spec_cpus[0]->spec_stats())
+          << col.name << " engine " << static_cast<int>(engines[e]);
+      EXPECT_EQ(observers[e].line_count(), observers[0].line_count())
+          << col.name << " engine " << static_cast<int>(engines[e]);
+    }
+    EXPECT_GT(spec_cpus[2]->superblock_cache().stats().chains_built, 0u) << col.name;
   }
 }
 
@@ -579,10 +601,10 @@ TEST_P(FuzzDifferential, CachedEngineMatchesUncachedAcrossEpochs) {
     const std::string tag = "epoch" + std::to_string(epoch) + "/";
     for (const std::string& fn : fns) {
       ASSERT_TRUE(FillOpBuffer(image, *buf, seed).ok());
-      RunResult u = uncached_cpu.CallFunction(fn, {*buf}, RunOptions{.use_block_cache = false});
+      RunResult u = uncached_cpu.CallFunction(fn, {*buf}, RunOptions{.engine = ExecEngine::kSingleStep});
       const uint64_t u_sum = RegionChecksum(image, *buf);
       ASSERT_TRUE(FillOpBuffer(image, *buf, seed).ok());
-      RunResult c = cached_cpu.CallFunction(fn, {*buf}, RunOptions{.use_block_cache = true});
+      RunResult c = cached_cpu.CallFunction(fn, {*buf}, RunOptions{.engine = ExecEngine::kBlockCache});
       ASSERT_EQ(c.reason, StopReason::kReturned)
           << tag << fn << " " << ExceptionKindName(c.exception);
       ExpectSameRunResult(c, u, tag + fn);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/attack/spectre.h"
 #include "src/cpu/cpu.h"
@@ -264,6 +265,103 @@ TEST(Spec, CountersReachTheMetricsRegistry) {
   cpu.CallFunction(mk.entry, {100});
   EXPECT_EQ(reg.GetCounter("spec.windows").value(), windows_before + 1);
   EXPECT_GT(reg.GetCounter("spec.predictions").value(), pred_before);
+}
+
+// Transient values, opcode by opcode. Each case's arm computes a value
+// through one op from inputs the guard (%rdi) does not read — %rdx, %rcx
+// and the word at (%r8) — then loads probe + (value & 0xff) * 64. Run
+// architecturally (%rdi < 10) the arm returns the value in %rax; run as the
+// mispredicted wrong path (%rdi >= 10 on a cold predictor) the only probe
+// line the observer may see touched is the one that value selects. This
+// pins wrong-path semantics to architectural ones for every
+// register-writing, non-serializing opcode.
+TEST(Spec, WrongPathMatchesArchitecturalValues) {
+  constexpr uint64_t kIn1 = 0x1234'5678'9ABC'DEF1;     // %rdx
+  constexpr uint64_t kIn2 = 0x0FED'CBA9'8765'4327;     // %rcx
+  constexpr uint64_t kMemWord = 0x5A5A'1234'C3C3'8765;  // (%r8)
+  constexpr Reg kRax = Reg::kRax, kRcx = Reg::kRcx, kRdx = Reg::kRdx, kR9 = Reg::kR9;
+  const MemOperand mem = MemOperand::Base(Reg::kR8, 0);
+  using I = Instruction;
+  // pushfq; pop %rax, then fold OF (bit 11) and DF (bit 10) into the low
+  // byte next to CF, ZF and SF so the probe index reflects every flag.
+  const std::vector<Instruction> flags_to_rax = {
+      I::Pushfq(), I::PopR(kRax), I::MovRR(kR9, kRax), I::ShrRI(kR9, 8), I::XorRR(kRax, kR9)};
+  auto with_flags = [&](std::vector<Instruction> arm) {
+    arm.insert(arm.end(), flags_to_rax.begin(), flags_to_rax.end());
+    return arm;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Instruction> arm;  // leaves the value in %rax
+  };
+  const std::vector<Case> cases = {
+      {"mov rr", {I::MovRR(kRax, kRcx)}},
+      {"mov ri", {I::MovRI(kRax, 0x4D)}},
+      {"add rr", {I::MovRR(kRax, kRdx), I::AddRR(kRax, kRcx)}},
+      {"add ri", {I::MovRR(kRax, kRdx), I::AddRI(kRax, 0x3579)}},
+      {"sub rr", {I::MovRR(kRax, kRdx), I::SubRR(kRax, kRcx)}},
+      {"sub ri", {I::MovRR(kRax, kRcx), I::SubRI(kRax, 0x1F0)}},
+      {"and rr", {I::MovRR(kRax, kRdx), I::AndRR(kRax, kRcx)}},
+      {"and ri", {I::MovRR(kRax, kRdx), I::AndRI(kRax, 0x3C)}},
+      {"or rr", {I::MovRR(kRax, kRdx), I::OrRR(kRax, kRcx)}},
+      {"or ri", {I::MovRR(kRax, kRcx), I::OrRI(kRax, 0x90)}},
+      {"xor rr", {I::MovRR(kRax, kRdx), I::XorRR(kRax, kRcx)}},
+      {"xor ri", {I::MovRR(kRax, kRdx), I::XorRI(kRax, 0x5B)}},
+      {"shl", {I::MovRR(kRax, kRdx), I::ShlRI(kRax, 5)}},
+      {"shr", {I::MovRR(kRax, kRcx), I::ShrRI(kRax, 9)}},
+      {"imul", {I::MovRR(kRax, kRdx), I::ImulRR(kRax, kRcx)}},
+      {"mask pass", {I::MovRR(kRax, kRcx), I::ShrRI(kRax, 52), I::MaskRI(kRax, 0xFFF)}},
+      {"mask clamp", {I::MovRR(kRax, kRdx), I::MaskRI(kRax, 0xFFFF)}},
+      {"lea", {I::Lea(kRax, MemOperand::BaseIndex(kRdx, kRcx, 8, 0x30))}},
+      {"load", {I::Load(kRax, mem)}},
+      {"pop", {I::PushR(kRcx), I::PopR(kRax)}},
+      {"add rm", {I::MovRR(kRax, kRdx), I::AddRM(kRax, mem)}},
+      {"xor mr", {I::XorMR(mem, kRdx), I::Load(kRax, mem)}},
+      {"cmp rr", with_flags({I::CmpRR(kRdx, kRcx)})},
+      {"cmp rr equal", with_flags({I::CmpRR(kRcx, kRcx)})},
+      {"cmp ri overflow", with_flags({I::MovRI(kRax, INT64_MIN), I::CmpRI(kRax, 1)})},
+      {"cmp ri", with_flags({I::CmpRI(kRcx, 0x7FFF'FFFF)})},
+      {"test rr", with_flags({I::TestRR(kRdx, kRcx)})},
+      {"cmp rm", with_flags({I::CmpRM(kRdx, mem)})},
+      {"cmp mi", with_flags({I::CmpMI(mem, 0x1234)})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Function fn = GuardedGadget([&](FunctionBuilder& b) {
+      for (const Instruction& inst : c.arm) b.Emit(inst);
+      b.Emit(I::MovRR(Reg::kR10, kRax));
+      b.Emit(I::AndRI(Reg::kR10, 0xFF));
+      b.Emit(I::ShlRI(Reg::kR10, 6));
+      b.Emit(I::AddRR(Reg::kR10, Reg::kRsi));
+      b.Emit(I::Load(Reg::kR11, MemOperand::Base(Reg::kR10, 0)));
+      b.Emit(I::Ret());
+    });
+    MiniKernel mk = MakeKernel(fn);
+    auto probe = mk.image->AllocDataPages(256 * 64 / kPageSize);
+    auto word = mk.image->AllocDataPages(1);
+    ASSERT_TRUE(probe.ok() && word.ok());
+
+    ASSERT_TRUE(mk.image->Poke64(*word, kMemWord).ok());
+    Cpu arch(mk.image.get());
+    RunResult a = arch.CallFunction(mk.entry, {3, *probe, kIn1, kIn2, *word});
+    ASSERT_EQ(a.reason, StopReason::kReturned);
+    const uint64_t line = a.rax & 0xFF;
+
+    ASSERT_TRUE(mk.image->Poke64(*word, kMemWord).ok());
+    Cpu spec(mk.image.get(), CostModel(), SpecOn());
+    SideChannelObserver obs;
+    spec.set_side_channel_observer(&obs);
+    RunResult s = spec.CallFunction(mk.entry, {100, *probe, kIn1, kIn2, *word});
+    ASSERT_EQ(s.rax, 7u);
+    ASSERT_EQ(spec.spec_stats().windows_opened, 1u);
+    EXPECT_EQ(spec.spec_stats().transient_faults, 0u);
+    for (uint64_t i = 0; i < 256; ++i) {
+      const Pte* pte = mk.image->page_table().Lookup(*probe + i * 64);
+      ASSERT_NE(pte, nullptr);
+      const uint64_t paddr = (pte->frame << kPageShift) | PageOffset(*probe + i * 64);
+      EXPECT_EQ(obs.LineTouched(paddr), i == line) << "probe line " << i << ", value line " << line;
+    }
+  }
 }
 
 // The end-to-end contract the security evaluation enforces across the whole

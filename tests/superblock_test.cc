@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -312,9 +313,11 @@ TEST(SuperblockTlb, PageGenerationInvalidatesStaleTranslations) {
       << "the bumped generation did not force a TLB refill";
 }
 
-// A step observer, an XnR image and a speculation window each force the
-// canonical single-step path even when the caller asked for superblocks.
-TEST(SuperblockEligibility, ObserverXnrAndSpecForceSingleStep) {
+// A step observer and an XnR image force the canonical single-step path
+// even when the caller asked for superblocks. A speculation window does not:
+// it is part of the shared Jcc semantics, so a spec-enabled run chains and
+// matches single-step in its RunResult and its SpecStats.
+TEST(SuperblockEligibility, ObserverAndXnrForceSingleStepSpecDoesNot) {
   {  // Step observer: must see every retired-instruction boundary.
     auto kernel = CompileKernel(MakeBaseSource(),
                                 {ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx});
@@ -346,16 +349,30 @@ TEST(SuperblockEligibility, ObserverXnrAndSpecForceSingleStep) {
     ASSERT_EQ(r.reason, StopReason::kReturned);
     EXPECT_EQ(cpu.superblock_cache().stats().entries, 0u);
   }
-  {  // Speculation window: every conditional branch must retire observed.
-    auto kernel = CompileKernel(MakeBaseSource(),
+  {  // Speculation window: sb_reader's loop branch mispredicts on a cold
+     // predictor, so windows open inside chained execution.
+    KernelSource src = MakeBaseSource();
+    AddReader(&src);
+    auto kernel = CompileKernel(std::move(src),
                                 {ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx});
     ASSERT_TRUE(kernel.ok());
+    KernelImage& image = *kernel->image;
+    auto buf = image.AllocDataPages(1);
+    ASSERT_TRUE(buf.ok());
+    ASSERT_TRUE(image.Poke64(*buf, 0xFEED).ok());
     CpuOptions opts;
     opts.spec.enabled = true;
-    Cpu cpu(kernel->image.get(), CostModel(), opts);
-    RunResult r = cpu.CallFunction("commit_creds", {1}, Superblocked());
-    ASSERT_EQ(r.reason, StopReason::kReturned);
-    EXPECT_EQ(cpu.superblock_cache().stats().entries, 0u);
+    Cpu sb_cpu(&image, CostModel(), opts);
+    Cpu step_cpu(&image, CostModel(), opts);
+    for (int i = 0; i < 3; ++i) {
+      RunResult s = sb_cpu.CallFunction("sb_reader", {*buf}, Superblocked());
+      RunResult u = step_cpu.CallFunction("sb_reader", {*buf}, SingleStep());
+      ASSERT_EQ(s.reason, StopReason::kReturned);
+      ExpectSameResult(s, u, "spec window, call " + std::to_string(i));
+    }
+    EXPECT_GT(sb_cpu.superblock_cache().stats().chains_built, 0u);
+    EXPECT_GT(sb_cpu.spec_stats().windows_opened, 0u);
+    EXPECT_TRUE(sb_cpu.spec_stats() == step_cpu.spec_stats());
   }
 }
 
@@ -404,6 +421,7 @@ TEST(SuperblockConcurrency, ConcurrentInvalidationUnderQuiesceGate) {
   ASSERT_EQ(baseline.reason, StopReason::kReturned);
   ASSERT_EQ(baseline.rax, 0xFEEDu);
 
+  std::atomic<uint64_t> reader_runs[kReaders] = {};
   std::vector<std::thread> readers;
   for (int i = 0; i < kReaders; ++i) {
     readers.emplace_back([&, i] {
@@ -415,24 +433,47 @@ TEST(SuperblockConcurrency, ConcurrentInvalidationUnderQuiesceGate) {
             r.instructions != baseline.instructions) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
+        reader_runs[i].fetch_add(1, std::memory_order_relaxed);
         runs.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
-  for (int i = 0; i < kPokes; ++i) {
+  // The writer must interleave with live readers: it waits for every
+  // reader's first completed run before the first poke, and for another
+  // completed run between pokes. Without the waits a loaded host lets all
+  // pokes land before any reader finishes a run. Both waits are bounded.
+  auto wait_until = [](auto done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  bool interleaved = wait_until([&] {
+    for (const auto& n : reader_runs) {
+      if (n.load(std::memory_order_relaxed) == 0) return false;
+    }
+    return true;
+  });
+  bool pokes_ok = true;
+  for (int i = 0; i < kPokes && interleaved && pokes_ok; ++i) {
     gate.BeginExclusive();
     // Rewriting the same byte is semantically a no-op but bumps the text
     // generation — the pure-invalidation stressor.
-    ASSERT_TRUE(image.PokeBytes(*entry, &byte, 1).ok());
+    pokes_ok = image.PokeBytes(*entry, &byte, 1).ok();
     gate.EndExclusive();
-    std::this_thread::yield();
+    const uint64_t seen = runs.load(std::memory_order_relaxed);
+    interleaved = wait_until([&] { return runs.load(std::memory_order_relaxed) > seen; });
   }
   stop.store(true);
   for (std::thread& t : readers) {
     t.join();
   }
+  EXPECT_TRUE(pokes_ok) << "PokeBytes failed";
+  EXPECT_TRUE(interleaved) << "timed out waiting for a reader run between pokes";
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(runs.load(), 0u) << "readers never ran; the test proved nothing";
+  EXPECT_GE(runs.load(), static_cast<uint64_t>(kPokes));
 }
 
 }  // namespace
