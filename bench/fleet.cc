@@ -4,7 +4,8 @@
 //   1. admit   — N tenants over a small config matrix; same-config tenants
 //                share one pristine build, each gets a re-linked image and
 //                a private diversification epoch. Reports the CoW speedup
-//                (materialize vs full compile) and the memory split.
+//                (materialize vs full compile), the memory split, and the
+//                host memory behind it (resident image bytes, process RSS).
 //   2. traffic — open-loop Poisson arrivals across the fleet; requests are
 //                (tenant, worker) workload iterations (lmbench / VFS / IPC
 //                round-robin). Reports p50/p99 sojourn latency (queue wait
@@ -179,8 +180,8 @@ int Main(int argc, char** argv) {
   FleetOptions fopts;
   fopts.base_seed = args.seed;
   fopts.workers_per_tenant = args.workers;
-  // 32MB/tenant keeps a 16-tenant fleet around 0.5GB of guest memory; the
-  // bench source needs well under that.
+  // 32MB of guest physical memory per tenant. It is demand-zero, so a
+  // tenant costs the host only the frames it writes.
   fopts.phys_bytes = 32ULL << 20;
   TenantFleet fleet(&cache, fopts);
 
@@ -222,6 +223,8 @@ int Main(int argc, char** argv) {
               mem.shared_bytes / 1048576.0, mem.image_bytes / 1048576.0,
               mem.cow_total_bytes / 1048576.0, mem.naive_total_bytes / 1048576.0,
               mem.avg_bytes_per_tenant / 1048576.0);
+  std::printf("  host: %.2f MB resident under tenant images, %.2f MB process RSS\n",
+              mem.resident_bytes / 1048576.0, mem.process_rss_bytes / 1048576.0);
   std::printf("  admit: %.1f ms total; first-in-group %.1f ms, CoW materialize %.1f ms "
               "(%.1fx faster)\n",
               admit_total_ms, avg_first_ms, avg_repeat_ms, cow_speedup);
@@ -336,11 +339,14 @@ int Main(int argc, char** argv) {
                 "  \"fleet\": {\"tenants\": %d, \"workers_per_tenant\": %d, "
                 "\"pristine_groups\": %d, \"dedup_ratio\": %.4f, \"shared_bytes\": %llu, "
                 "\"image_bytes\": %llu, \"cow_total_bytes\": %llu, "
-                "\"naive_total_bytes\": %llu, \"bytes_per_tenant\": %.0f},\n",
+                "\"naive_total_bytes\": %llu, \"bytes_per_tenant\": %.0f, "
+                "\"resident_bytes\": %llu, \"process_rss_bytes\": %llu},\n",
                 mem.tenants, args.workers, mem.pristine_groups, mem.dedup_ratio,
                 (unsigned long long)mem.shared_bytes, (unsigned long long)mem.image_bytes,
                 (unsigned long long)mem.cow_total_bytes,
-                (unsigned long long)mem.naive_total_bytes, mem.avg_bytes_per_tenant);
+                (unsigned long long)mem.naive_total_bytes, mem.avg_bytes_per_tenant,
+                (unsigned long long)mem.resident_bytes,
+                (unsigned long long)mem.process_rss_bytes);
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"admit\": {\"total_ms\": %.3f, \"first_in_group_ms\": %.3f, "

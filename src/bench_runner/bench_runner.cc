@@ -75,6 +75,7 @@ TaskResult BenchRunner::RunOne(const BenchTask& task) const {
     status = RunWorkloadOnce(cpu, task.spec, *buffers, run, &counters);
   }
   const auto t1 = std::chrono::steady_clock::now();
+  ReleaseWorkloadBuffers(image, *buffers);
   result.calls = counters.calls;
   result.instructions = counters.instructions;
   result.deci_cycles = counters.deci_cycles;

@@ -66,6 +66,12 @@ Cpu::Cpu(KernelImage* image, CostModel cost, CpuOptions options)
   RefreshKrxHandlerRange();
 }
 
+Cpu::~Cpu() {
+  if (stack_base_ != 0) {
+    image_->FreeDataPages(stack_base_, options_.stack_pages);
+  }
+}
+
 void Cpu::RefreshKrxHandlerRange() {
   int32_t h = image_->symbols().Find(kKrxHandlerName);
   if (h >= 0 && image_->symbols().at(h).defined) {

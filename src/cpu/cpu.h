@@ -167,6 +167,10 @@ struct RunOptions {
 class Cpu {
  public:
   Cpu(KernelImage* image, CostModel cost = CostModel(), CpuOptions options = CpuOptions());
+  // Returns the kernel stack to the image, so a Cpu must die before it.
+  ~Cpu();
+  Cpu(const Cpu&) = delete;
+  Cpu& operator=(const Cpu&) = delete;
 
   uint64_t reg(Reg r) const { return regs_[RegIndex(r)]; }
   void set_reg(Reg r, uint64_t v) { regs_[RegIndex(r)] = v; }

@@ -187,11 +187,13 @@ TenantFleet::MemoryReport TenantFleet::MemoryUsage() const {
       groups.push_back(artifacts);
       report.shared_bytes += artifacts->ApproxBytes();
     }
-    const uint64_t image_bytes = tenant->kernel->image->phys().frames_allocated()
-                                 << kPageShift;
+    const PhysMem& phys = tenant->kernel->image->phys();
+    const uint64_t image_bytes = phys.frames_allocated() << kPageShift;
     report.image_bytes += image_bytes;
+    report.resident_bytes += phys.resident_bytes();
     report.naive_total_bytes += artifacts->ApproxBytes() + image_bytes;
   }
+  report.process_rss_bytes = ProcessRssBytes();
   report.pristine_groups = static_cast<int>(groups.size());
   report.cow_total_bytes = report.shared_bytes + report.image_bytes;
   if (report.tenants > 0) {

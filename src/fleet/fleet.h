@@ -107,6 +107,11 @@ class TenantFleet {
     // (and artifact copies) the fleet deduplicated away.
     double dedup_ratio = 0;
     double avg_bytes_per_tenant = 0;  // cow_total_bytes / tenants
+    // Host memory actually behind the tenant images (PhysMem::
+    // resident_bytes, summed), and the whole process's VmRSS at report
+    // time, to hold the figures above against.
+    uint64_t resident_bytes = 0;
+    uint64_t process_rss_bytes = 0;
   };
   MemoryReport MemoryUsage() const;
 

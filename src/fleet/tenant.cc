@@ -75,6 +75,20 @@ Result<WorkloadBuffers> SetUpWorkloadBuffers(KernelImage& image, WorkloadKind wo
   return buffers;
 }
 
+void ReleaseWorkloadBuffers(KernelImage& image, const WorkloadBuffers& buffers) {
+  const std::pair<uint64_t, uint64_t> pages[] = {
+      {buffers.op_buffer, kOpBufferBytes >> kPageShift},
+      {buffers.vfs_buf, 1},
+      {buffers.ipc_src, 1},
+      {buffers.ipc_dst, 1},
+  };
+  for (const auto& [vaddr, count] : pages) {
+    if (vaddr != 0) {
+      image.FreeDataPages(vaddr, count);
+    }
+  }
+}
+
 namespace {
 
 // Runs one guest entry and accumulates its work. Non-OK status carries the

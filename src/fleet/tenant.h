@@ -55,8 +55,8 @@ struct TenantSpec {
 // ---- Workload execution (shared by BenchRunner::RunOne and the fleet). ----
 
 // Guest-side scratch buffers a workload needs, allocated once per
-// (tenant, worker) session and reused across requests — AllocDataPages is a
-// bump allocator, so per-request allocation would leak frames.
+// (tenant, worker) session and reused across requests; a session that ends
+// hands them back with ReleaseWorkloadBuffers.
 struct WorkloadBuffers {
   uint64_t op_buffer = 0;  // lmbench/phoronix scratch
   uint64_t vfs_buf = 0;    // vfs_read / vfs_fstat destination page
@@ -69,6 +69,10 @@ struct WorkloadBuffers {
 // guest inputs — the rax checksum witness depends on it.
 Result<WorkloadBuffers> SetUpWorkloadBuffers(KernelImage& image, WorkloadKind workload,
                                              uint64_t seed);
+
+// Returns the pages SetUpWorkloadBuffers allocated to `image`. Without it,
+// every bench task would leave its buffers on the shared image it ran on.
+void ReleaseWorkloadBuffers(KernelImage& image, const WorkloadBuffers& buffers);
 
 // Accumulated guest work; rax_checksum is the order-sensitive FNV-1a fold
 // of every call's return value — the semantic witness that two runs (cached

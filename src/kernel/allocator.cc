@@ -5,6 +5,10 @@
 namespace krx {
 namespace {
 
+// The low `n` bits set, for n in [0, 64]; a 32-byte class has 128 objects,
+// and shifting a 64-bit value by 64 is undefined.
+uint64_t LowBits(uint64_t n) { return n >= 64 ? ~0ULL : (1ULL << n) - 1; }
+
 uint64_t SizeClassFor(uint64_t size) {
   uint64_t cls = SlabAllocator::kMinObject;
   while (cls < size) {
@@ -20,9 +24,9 @@ bool SlabAllocator::Slab::Full() const { return free_mask == 0 && free_mask_hi =
 bool SlabAllocator::Slab::Empty() const {
   uint64_t cap = capacity();
   if (cap <= 64) {
-    return free_mask == (cap == 64 ? ~0ULL : (1ULL << cap) - 1);
+    return free_mask == LowBits(cap);
   }
-  return free_mask == ~0ULL && free_mask_hi == (1ULL << (cap - 64)) - 1;
+  return free_mask == ~0ULL && free_mask_hi == LowBits(cap - 64);
 }
 
 int SlabAllocator::Slab::TakeFreeIndex() {
@@ -65,10 +69,10 @@ Result<SlabAllocator::Slab*> SlabAllocator::SlabWithSpace(uint64_t object_size) 
   s.object_size = object_size;
   uint64_t cap = s.capacity();
   if (cap <= 64) {
-    s.free_mask = cap == 64 ? ~0ULL : (1ULL << cap) - 1;
+    s.free_mask = LowBits(cap);
   } else {
     s.free_mask = ~0ULL;
-    s.free_mask_hi = (1ULL << (cap - 64)) - 1;
+    s.free_mask_hi = LowBits(cap - 64);
   }
   slabs.push_back(s);
   page_class_[*page] = object_size;

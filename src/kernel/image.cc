@@ -133,6 +133,11 @@ Result<uint64_t> KernelImage::AllocDataPages(uint64_t num_pages) {
   return PhysmapVaddr(*frames);
 }
 
+void KernelImage::FreeDataPages(uint64_t vaddr, uint64_t num_pages) {
+  KRX_CHECK(physmap_mapped_ && vaddr >= kPhysmapBase && PageOffset(vaddr) == 0);
+  phys_.FreeFrames((vaddr - kPhysmapBase) >> kPageShift, num_pages);
+}
+
 Result<uint64_t> KernelImage::MapUserPages(uint64_t vaddr, uint64_t num_pages) {
   KRX_CHECK(PageOffset(vaddr) == 0);
   KRX_CHECK(vaddr < 0x0000800000000000ULL);  // lower canonical half

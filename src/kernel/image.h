@@ -77,6 +77,11 @@ class KernelImage {
   // is what makes stack harvesting (indirect JIT-ROP) possible.
   Result<uint64_t> AllocDataPages(uint64_t num_pages);
 
+  // Returns `num_pages` pages from AllocDataPages, starting at `vaddr`, to
+  // the frame allocator. Nothing may touch them afterwards: they are
+  // dropped now and read zero when next handed out.
+  void FreeDataPages(uint64_t vaddr, uint64_t num_pages);
+
   // Maps attacker-controlled *user* pages (U/S = 1, RWX — the attacker owns
   // their own mapping) in the lower canonical half. Used by the ret2usr
   // experiments: with SMEP enabled the kernel cannot fetch from these.
@@ -115,9 +120,10 @@ class KernelImage {
   }
 
   // Unmaps a placed section, fills its frames with `fill`, and forgets it.
-  // The physical frames are not refunded (PhysMem is a bump allocator);
-  // they are zapped so no stale bytes survive. Used by module unload and
-  // load rollback.
+  // The physical frames are deliberately not freed: they keep the fill
+  // (the tripwire byte for text), so a stale pointer into the old section
+  // traps instead of running whatever reused the frames. Used by module
+  // unload and load rollback.
   Status RemoveSection(const std::string& name, uint8_t fill = 0);
 
   // Region queries.

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/mem/phys_mem.h"

@@ -44,7 +44,12 @@ void CheckpointManager::AddHostState(std::function<std::vector<uint64_t>()> save
 }
 
 uint64_t CheckpointManager::snapshot_bytes() const {
-  return static_cast<uint64_t>(phys_.size() + symbol_addrs_.size() * sizeof(uint64_t) +
+  uint64_t host_words = 0;
+  for (const std::vector<uint64_t>& state : host_state_) {
+    host_words += state.size();
+  }
+  return static_cast<uint64_t>(phys_.size() + page_table_.MappedPageCount() * sizeof(Pte) +
+                               (symbol_addrs_.size() + host_words) * sizeof(uint64_t) +
                                cpu_state_.size() * sizeof(Cpu::ArchState));
 }
 
@@ -60,8 +65,8 @@ Status CheckpointManager::Capture(QuiesceGate* gate, uint64_t timeout_ms) {
 
 void CheckpointManager::DoCapture() {
   const PhysMem& phys = image_->phys();
-  phys_.resize(phys.size());
-  phys.ReadBytes(0, phys_.data(), phys.size());
+  phys_.resize(phys.high_water_frames() << kPageShift);
+  phys.ReadBytes(0, phys_.data(), phys_.size());
   page_table_ = image_->page_table();
 
   const SymbolTable& syms = image_->symbols();
@@ -106,7 +111,10 @@ Status CheckpointManager::Restore(QuiesceGate* gate, uint64_t timeout_ms) {
 }
 
 void CheckpointManager::DoRestore() {
-  image_->phys().WriteBytes(0, phys_.data(), phys_.size());
+  PhysMem& phys = image_->phys();
+  phys.WriteBytes(0, phys_.data(), phys_.size());
+  const uint64_t captured_frames = phys_.size() >> kPageShift;
+  phys.ZeroFrames(captured_frames, phys.high_water_frames() - captured_frames);
   image_->page_table() = page_table_;
 
   SymbolTable& syms = image_->symbols();

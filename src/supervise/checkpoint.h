@@ -10,14 +10,18 @@
 // points are exactly the run boundaries the re-randomization engine already
 // quiesces to.
 //
-// Restore rewrites physical memory and the page table, resets symbol
-// addresses and host state, restores each tracked Cpu's registers, bumps
-// the image's text generation (every predecoded block was potentially
-// decoded from post-snapshot bytes) and re-resolves the Cpus' cached
-// krx_handler extents. The frame allocator's bump cursor is deliberately
-// NOT rewound: frames allocated after the snapshot stay allocated, which
-// keeps restore monotone (no risk of double-allocating a frame a live
-// structure still points at) at the cost of leaking those frames.
+// The snapshot holds the frames below the allocator's high-water mark at
+// capture; every frame above it had never been handed out and read zero.
+// Restore writes those frames back, zeroes the frames handed out above the
+// old mark since, rewrites the page table, resets symbol addresses and host
+// state, restores each tracked Cpu's registers, bumps the image's text
+// generation (every predecoded block was potentially decoded from
+// post-snapshot bytes) and re-resolves the Cpus' cached krx_handler
+// extents. Allocation state is deliberately NOT rewound: frames allocated
+// after the snapshot stay allocated, frames freed since stay free, and a
+// frame reused since reads its captured bytes. No live structure can thus
+// lose a frame it still points at. A free frame that restore wrote into
+// reads zero again when it is next allocated.
 //
 // Known limitation: modules loaded or unloaded after a capture are not
 // transactional against Restore (their text frames are restored bytewise,

@@ -2,7 +2,9 @@
 // the QuiesceGate must give an epoch writer priority over a steady stream
 // of reader runs without ever letting it observe an in-flight run, and the
 // ThreadPool destructor must drain queued tasks exactly once, in FIFO
-// order, before joining. Run these under the ASan preset too.
+// order, before joining. Parallel bench tasks must also hand their frames
+// back to the shared images they ran on. Run these under the ASan preset
+// too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/bench_runner/bench_runner.h"
 #include "src/bench_runner/thread_pool.h"
 #include "src/rerand/quiesce.h"
 
@@ -162,6 +165,50 @@ TEST(ThreadPool, WaitBlocksUntilIdleAndPoolIsReusable) {
     pool.Wait();
     EXPECT_EQ(done.load(), 16 * (batch + 1));
   }
+}
+
+// Every bench task builds a Cpu (its kernel stack) and workload buffers on
+// the shared cached image of its config. Ten passes of the same matrix on
+// four threads must leave each shared image exactly as many frames as the
+// first pass did, and compute the same thing every time.
+TEST(FrameOwnership, BenchRunnerPassesKeepSharedImagesFlat) {
+  const std::vector<std::string> configs = {"vanilla", "sfi-o3", "sfi-o4"};
+  BenchRunnerOptions options;
+  options.threads = 4;
+  KernelCache cache(MakeBenchSourceFactory(options.seed));
+  BenchRunner runner(options, &cache);
+  const std::vector<BenchTask> tasks = MakeBenchMatrix(configs, 4, 1, false);
+
+  auto shared_frames = [&] {
+    std::vector<uint64_t> frames;
+    for (const std::string& config : configs) {
+      TenantSpec spec;
+      spec.config_name = config;
+      auto build = spec.ResolveBuildOptions(options.seed);
+      KRX_CHECK(build.ok());
+      auto kernel = cache.Acquire(*build, Sharing::kShared);
+      KRX_CHECK(kernel.ok());
+      frames.push_back((*kernel)->image->phys().frames_allocated());
+    }
+    return frames;
+  };
+
+  std::vector<uint64_t> first_checksums;
+  std::vector<uint64_t> first_frames;
+  for (int pass = 0; pass < 10; ++pass) {
+    std::vector<uint64_t> checksums;
+    for (const TaskResult& r : runner.Run(tasks)) {
+      ASSERT_TRUE(r.ok) << "pass " << pass << ": " << r.name << ": " << r.error;
+      checksums.push_back(r.rax_checksum);
+    }
+    if (pass == 0) {
+      first_checksums = checksums;
+      first_frames = shared_frames();
+    } else {
+      EXPECT_EQ(checksums, first_checksums) << "pass " << pass;
+    }
+  }
+  EXPECT_EQ(shared_frames(), first_frames);
 }
 
 }  // namespace

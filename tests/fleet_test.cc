@@ -242,6 +242,39 @@ TEST(FleetTest, MemoryReportAccountsDedup) {
   EXPECT_EQ(stats.private_mode.compiles, 0u);
 }
 
+// ASan's allocator holds freed blocks back in a quarantine (256MB by
+// default) instead of reusing them, so under ASan process RSS also grows by
+// up to that much heap churn.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr uint64_t kHeapQuarantineBytes = 256ULL << 20;
+#else
+constexpr uint64_t kHeapQuarantineBytes = 0;
+#endif
+
+// Tenant images are demand-zero: 16 tenants of 32MB each cost the host the
+// frames they wrote, not 512MB of zeroes, and the report's resident bytes
+// stay within the frames the images hold.
+TEST(FleetTest, TenantImagesCostOnlyTouchedMemory) {
+  KernelCache cache(FleetSourceFactory(0xF1EE7));
+  FleetOptions options;
+  options.base_seed = 0xF1EE7;
+  options.phys_bytes = 32ULL << 20;
+  TenantFleet fleet(&cache, options);
+
+  const uint64_t rss_before = ProcessRssBytes();
+  ASSERT_GT(rss_before, 0u);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(
+        fleet.Admit(LmbenchTenant(i, i % 2 == 0 ? "sfi+x" : "x", 0x100 + static_cast<uint64_t>(i)))
+            .ok());
+  }
+  const TenantFleet::MemoryReport report = fleet.MemoryUsage();
+  EXPECT_LT(report.process_rss_bytes, rss_before + (64ULL << 20) + kHeapQuarantineBytes);
+  EXPECT_GT(report.resident_bytes, 0u);
+  EXPECT_LE(report.resident_bytes, report.image_bytes);
+  EXPECT_LT(report.image_bytes, 16 * options.phys_bytes);
+}
+
 TEST(FleetTest, ShardedCacheSpreadsKeys) {
   KernelCache cache(FleetSourceFactory(0xF1EE7), /*shard_count=*/8);
   EXPECT_EQ(cache.shard_count(), 8);

@@ -141,5 +141,69 @@ TEST(PhysMem, FrameAllocatorExhausts) {
   EXPECT_FALSE(phys.AllocFrames(1).ok());
 }
 
+// Guest memory is demand-zero: reserving a gigabyte costs the host only
+// the frames that are written, and every other frame reads zero.
+TEST(PhysMem, LargeMemoryCostsOnlyTouchedFrames) {
+  const uint64_t rss_before = ProcessRssBytes();
+  ASSERT_GT(rss_before, 0u);
+  PhysMem phys(1ULL << 30);
+  auto frame = phys.AllocFrames(1);
+  ASSERT_TRUE(frame.ok());
+  phys.Fill(*frame << kPageShift, 0xAB, kPageSize);
+  EXPECT_LT(ProcessRssBytes(), rss_before + (16ULL << 20));
+
+  EXPECT_EQ(phys.Read8(*frame << kPageShift), 0xAB);
+  EXPECT_EQ(phys.Read64((*frame << kPageShift) + kPageSize - 8), 0xABABABABABABABABULL);
+  for (uint64_t paddr = (*frame + 1) << kPageShift; paddr < phys.size(); paddr += 64ULL << 20) {
+    EXPECT_EQ(phys.Read64(paddr), 0u) << "paddr " << paddr;
+  }
+  EXPECT_EQ(phys.Read64(phys.size() - 8), 0u);
+}
+
+TEST(PhysMem, FreedFramesAreCoalescedAndReusedZeroed) {
+  PhysMem phys(16 * kPageSize);
+  auto a = phys.AllocFrames(4);
+  auto b = phys.AllocFrames(4);
+  auto c = phys.AllocFrames(4);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  phys.Fill(*a << kPageShift, 0xAA, 4 * kPageSize);
+  phys.Fill(*b << kPageShift, 0xBB, 4 * kPageSize);
+  EXPECT_EQ(phys.frames_allocated(), 12u);
+
+  phys.FreeFrames(*b, 4);
+  phys.FreeFrames(*a, 4);
+  EXPECT_EQ(phys.frames_allocated(), 4u);
+  EXPECT_EQ(phys.high_water_frames(), 12u);
+
+  // Only 4 frames are left above the high-water mark, so 8 fit only if the
+  // two freed neighbours were merged into one extent.
+  auto merged = phys.AllocFrames(8);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, *a);
+  EXPECT_EQ(phys.frames_allocated(), 12u);
+  EXPECT_EQ(phys.high_water_frames(), 12u);
+  uint64_t nonzero = 0;
+  for (uint64_t off = 0; off < 8 * kPageSize; off += 8) {
+    nonzero += phys.Read64((*merged << kPageShift) + off) != 0;
+  }
+  EXPECT_EQ(nonzero, 0u);
+
+  // Bytes written into a free extent (a checkpoint restore does this) are
+  // gone when the extent is handed out again.
+  phys.FreeFrames(*c, 4);
+  phys.Fill(*c << kPageShift, 0xCC, 4 * kPageSize);
+  auto again = phys.AllocFrames(4);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *c);
+  EXPECT_EQ(phys.Read64(*again << kPageShift), 0u);
+  EXPECT_EQ(phys.Read64((*again << kPageShift) + 4 * kPageSize - 8), 0u);
+
+  phys.FreeFrames(*again, 4);
+  EXPECT_EQ(phys.frames_allocated(), 8u);
+  EXPECT_DEATH(phys.FreeFrames(*again, 4), "");      // double free
+  EXPECT_DEATH(phys.FreeFrames(*again + 3, 1), "");  // inside a free extent
+  EXPECT_DEATH(phys.FreeFrames(12, 1), "");          // never handed out
+}
+
 }  // namespace
 }  // namespace krx

@@ -52,8 +52,8 @@ struct Env {
 
 // Scheduler + one generated LMBench-style op on the full kR^X column.
 // Baseline and live environments must perform identical allocations in
-// identical order (the image allocator is a bump allocator), so every Env
-// is built by this one function.
+// identical order (frame numbers follow from the sequence of allocations
+// and frees), so every Env is built by this one function.
 Env MakeEnv() {
   KernelSource src = MakeBaseSource();
   AddSched(&src);

@@ -497,6 +497,42 @@ TEST(Checkpoint, RestoreReplaysBitIdenticalToUninterrupted) {
   EXPECT_EQ(replayed, uninterrupted);
 }
 
+// A snapshot holds the frames below the allocator's high-water mark, not
+// all of guest memory; every frame handed out after the capture, reused or
+// fresh, reads zero again after the restore.
+TEST(Checkpoint, SnapshotHoldsOnlyAllocatedFrames) {
+  ProtectionConfig config = ProtectionConfig::SfiOnly(SfiLevel::kO3);
+  config.seed = 0x5A1E;
+  auto kernel = CompileKernel(MakeBaseSource(), {config, LayoutKind::kKrx});
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  KernelImage& image = *kernel->image;
+  ASSERT_EQ(image.phys().size(), 64ULL << 20);
+  auto freed = image.AllocDataPages(2);
+  ASSERT_TRUE(freed.ok());
+  image.FreeDataPages(*freed, 2);
+
+  CheckpointManager ckpt(&image);
+  ASSERT_TRUE(ckpt.Capture().ok());
+  EXPECT_LT(ckpt.snapshot_bytes(), image.phys().size() / 8);
+
+  auto reused = image.AllocDataPages(2);
+  auto fresh = image.AllocDataPages(4);
+  ASSERT_TRUE(reused.ok() && fresh.ok());
+  EXPECT_EQ(*reused, *freed);
+  const std::vector<uint64_t> pages = {*reused, *reused + kPageSize, *fresh,
+                                       *fresh + 3 * kPageSize};
+  for (uint64_t page : pages) {
+    ASSERT_TRUE(image.Poke64(page + 8, 0xD1D1D1D1).ok());
+  }
+
+  ASSERT_TRUE(ckpt.Restore().ok());
+  for (uint64_t page : pages) {
+    auto v = image.Peek64(page + 8);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(*v, 0u) << "page 0x" << std::hex << page;
+  }
+}
+
 // Restore composes with the oops supervisor: a panic-policy trap is
 // unsurvivable, the checkpoint rewinds past it, and the replacement
 // kill-task policy then survives the same rogue workload.
