@@ -179,6 +179,9 @@ uint64_t LinkArtifacts::ApproxBytes() const {
     for (const AssembledFunction& fn : pristine->functions) {
       total += sizeof(AssembledFunction) + fn.name.size();
     }
+    for (const std::vector<uint64_t>& sites : pristine->return_sites) {
+      total += sites.size() * sizeof(uint64_t);
+    }
   }
   total += xkeys.size() + xkey_symbols.size() * sizeof(xkey_symbols[0]);
   for (const DataObject& obj : data_objects) {
@@ -334,7 +337,11 @@ Result<CompiledKernel> CompileKernelAttempt(KernelSource source, const Protectio
   // artifacts — tenants later alias the same object, never copy it.
   {
     auto artifacts = std::make_shared<LinkArtifacts>();
-    artifacts->pristine = std::make_shared<const TextBlob>(link.text);
+    auto pristine = CapturePristineText(link.text);
+    if (!pristine.ok()) {
+      return pristine.status();
+    }
+    artifacts->pristine = std::move(*pristine);
     artifacts->xkeys = link.xkeys;
     artifacts->xkey_symbols = link.xkey_symbols;
     artifacts->data_objects = link.data_objects;

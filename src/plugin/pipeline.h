@@ -65,7 +65,7 @@ struct PipelineStats {
 // *same object* each tenant's RerandMap aliases, which is what makes the
 // per-tenant cost the relocated image, not a private copy of the blob.
 struct LinkArtifacts {
-  std::shared_ptr<const TextBlob> pristine;
+  std::shared_ptr<const PristineText> pristine;
   std::vector<uint8_t> xkeys;  // zero template; each link replenishes keys
   std::vector<std::pair<int32_t, uint64_t>> xkey_symbols;
   std::vector<DataObject> data_objects;

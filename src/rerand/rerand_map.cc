@@ -16,12 +16,69 @@ bool IsCallOpcode(Opcode op) {
 
 }  // namespace
 
+Result<std::shared_ptr<const PristineText>> CapturePristineText(const TextBlob& blob) {
+  auto pristine = std::make_shared<PristineText>();
+  static_cast<TextBlob&>(*pristine) = blob;
+
+  // Return sites: decode each extent. Sizes are operand-independent, so
+  // unapplied relocations do not perturb the decode walk; an operand field
+  // that happens to hold a placeholder still decodes with the correct size
+  // and opcode.
+  pristine->return_sites.reserve(blob.functions.size());
+  for (const AssembledFunction& fn : blob.functions) {
+    std::vector<uint64_t>& sites = pristine->return_sites.emplace_back();
+    uint64_t off = fn.offset;
+    const uint64_t end = fn.offset + fn.size;
+    while (off < end) {
+      auto dec = DecodeInstruction(blob.bytes.data(), blob.bytes.size(), off);
+      if (!dec.ok()) {
+        // Alignment padding inside the extent would be a build bug; surface it.
+        return InternalError("RerandMap: undecodable byte at pristine offset " +
+                             std::to_string(off) + " in " + fn.name + ": " +
+                             dec.status().message());
+      }
+      off += dec->size;
+      if (IsCallOpcode(dec->inst.op)) {
+        sites.push_back(off - fn.offset);
+      }
+    }
+  }
+
+  // Every text relocation must fall inside some function extent, or an epoch
+  // could not shift it with its function. Over the extents sorted by start,
+  // a relocation is covered iff the furthest end among those starting at or
+  // before its field reaches past the field.
+  std::vector<std::pair<uint64_t, uint64_t>> extents;  // (start, furthest end so far)
+  extents.reserve(blob.functions.size());
+  for (const AssembledFunction& fn : blob.functions) {
+    extents.emplace_back(fn.offset, fn.offset + fn.size);
+  }
+  std::sort(extents.begin(), extents.end());
+  for (size_t i = 1; i < extents.size(); ++i) {
+    extents[i].second = std::max(extents[i].second, extents[i - 1].second);
+  }
+  for (const Reloc& r : blob.relocs) {
+    auto after = std::upper_bound(
+        extents.begin(), extents.end(), r.field_offset,
+        [](uint64_t field, const std::pair<uint64_t, uint64_t>& e) { return field < e.first; });
+    if (after == extents.begin() || std::prev(after)->second < r.field_offset + 4) {
+      return InternalError("RerandMap: text reloc at blob offset " +
+                           std::to_string(r.field_offset) +
+                           " lies outside every function extent");
+    }
+  }
+  return std::shared_ptr<const PristineText>(std::move(pristine));
+}
+
 Status RerandMap::Finalize(const KernelImage& image) {
   if (finalized) {
     return FailedPreconditionError("RerandMap already finalized");
   }
   if (pristine == nullptr) {
     return FailedPreconditionError("RerandMap: no pristine blob captured");
+  }
+  if (pristine->return_sites.size() != pristine->functions.size()) {
+    return FailedPreconditionError("RerandMap: pristine blob lacks its return sites");
   }
   const PlacedSection* text = image.FindSection(".text");
   if (text == nullptr) {
@@ -42,7 +99,8 @@ Status RerandMap::Finalize(const KernelImage& image) {
   // placed each function at its blob offset.
   functions.clear();
   functions.reserve(pristine->functions.size());
-  for (const AssembledFunction& fn : pristine->functions) {
+  for (size_t i = 0; i < pristine->functions.size(); ++i) {
+    const AssembledFunction& fn = pristine->functions[i];
     RerandFunction rf;
     rf.name = fn.name;
     rf.symbol = syms.Find(fn.name);
@@ -52,44 +110,8 @@ Status RerandMap::Finalize(const KernelImage& image) {
     rf.pristine_offset = fn.offset;
     rf.size = fn.size;
     rf.current_offset = fn.offset;
-    // Decode the pristine extent to find return sites (offset just past each
-    // call). Sizes are operand-independent, so unapplied relocations do not
-    // perturb the decode walk; an operand field that happens to hold a
-    // placeholder still decodes with the correct size and opcode.
-    uint64_t off = fn.offset;
-    const uint64_t end = fn.offset + fn.size;
-    while (off < end) {
-      auto dec = DecodeInstruction(pristine->bytes.data(), pristine->bytes.size(), off);
-      if (!dec.ok()) {
-        // Alignment padding inside the extent would be a build bug; surface it.
-        return InternalError("RerandMap: undecodable byte at pristine offset " +
-                             std::to_string(off) + " in " + fn.name + ": " +
-                             dec.status().message());
-      }
-      off += dec->size;
-      if (IsCallOpcode(dec->inst.op)) {
-        rf.return_sites.push_back(off - fn.offset);
-      }
-    }
+    rf.return_sites = pristine->return_sites[i];
     functions.push_back(std::move(rf));
-  }
-
-  // Every text relocation must fall inside some function extent, or an epoch
-  // could not shift it with its function.
-  for (const Reloc& r : pristine->relocs) {
-    bool covered = false;
-    for (const RerandFunction& rf : functions) {
-      if (r.field_offset >= rf.pristine_offset &&
-          r.field_offset + 4 <= rf.pristine_offset + rf.size) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      return InternalError("RerandMap: text reloc at blob offset " +
-                           std::to_string(r.field_offset) +
-                           " lies outside every function extent");
-    }
   }
 
   // Xkey slots: every defined data symbol named xkey$<fn>. Absent when the

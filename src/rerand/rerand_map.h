@@ -14,10 +14,12 @@
 //   - the patchable pointer sites: every 8-byte data slot the linker
 //     initialized with the address of a symbol (dispatch tables, the
 //     syscall table, function-pointer-bearing structs).
-// Finalize() resolves the captured records against the linked image and
-// precomputes each function's *return sites* (offsets just past every call
-// instruction) — the oracle the stack re-encryption walk uses to recognize
-// encrypted in-flight return addresses.
+// CapturePristineText() derives from the blob, once per build, each
+// function's *return sites* (offsets just past every call instruction) —
+// the oracle the stack re-encryption walk uses to recognize encrypted
+// in-flight return addresses. Finalize() resolves the captured records
+// against a linked image; every tenant materialized from the build does so
+// again, against the blob it shares.
 #ifndef KRX_SRC_RERAND_RERAND_MAP_H_
 #define KRX_SRC_RERAND_RERAND_MAP_H_
 
@@ -66,6 +68,20 @@ struct RerandPtrSite {
   uint64_t offset = 0;  // slot offset within the object
 };
 
+// A build's pristine text blob plus what every Finalize() of a map over it
+// needs from its bytes, derived once by CapturePristineText().
+struct PristineText : TextBlob {
+  // Parallel to `functions`: function-relative offsets just past each call.
+  std::vector<std::vector<uint64_t>> return_sites;
+};
+
+// Captures `blob` as a build's immutable pristine text: decodes every
+// function extent for its return sites and proves that every text
+// relocation lies inside a function extent (an epoch could not shift it
+// otherwise). Fails on undecodable bytes inside an extent or on an
+// uncovered relocation.
+Result<std::shared_ptr<const PristineText>> CapturePristineText(const TextBlob& blob);
+
 struct RerandMap {
   // Captured by the pipeline before LinkKernel consumes (and relocates) the
   // blob: bytes are pre-relocation, relocs/extents are blob-relative.
@@ -76,7 +92,7 @@ struct RerandMap {
   // base's blob instead of carrying its own. Epochs only *read* the pristine
   // bytes (they rebuild the live .text from them); anything that would
   // mutate the blob must copy first. Never null after CompileKernel.
-  std::shared_ptr<const TextBlob> pristine;
+  std::shared_ptr<const PristineText> pristine;
 
   // Pointer-slot records captured before the data objects are linked away;
   // Finalize() resolves them into ptr_sites.
@@ -99,9 +115,7 @@ struct RerandMap {
 
   // Resolves the captured records against the linked image: text placement,
   // function symbols, xkey slots (every defined `xkey$...` symbol), pointer
-  // sites, and per-function return sites decoded from the pristine bytes.
-  // Validates that every text relocation lies inside a function extent (an
-  // epoch could not shift it otherwise).
+  // sites, and per-function return sites (from the pristine blob).
   Status Finalize(const KernelImage& image);
 };
 

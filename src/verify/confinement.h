@@ -22,7 +22,6 @@
 #define KRX_SRC_VERIFY_CONFINEMENT_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/plugin/pass_config.h"
@@ -31,17 +30,31 @@
 
 namespace krx {
 
+// Byte-level callee clobber masks (bit RegIndex(r)) per function entry, as
+// a flat table sorted by entry address.
+struct CalleeClobberTable {
+  struct Entry {
+    uint64_t address = 0;
+    uint16_t mask = 0;
+  };
+  std::vector<Entry> entries;
+
+  // Mask of the function entered at `address`, or nullptr if none is
+  // summarized.
+  const uint16_t* Find(uint64_t address) const;
+};
+
 struct ConfinementParams {
   uint64_t edata = 0;            // _krx_edata the checks must compare against
   uint64_t handler_address = 0;  // resolved krx_handler entry (0 if absent)
   uint64_t guard_size = 0;       // mapped .krx_phantom size (0 if absent)
-  // Byte-level callee clobber masks keyed by function entry address (bit
-  // RegIndex(r), from ComputeByteCalleeClobbers). When present, a direct
+  // Byte-level callee clobber masks (from ComputeByteCalleeClobbers). When
+  // present, a direct
   // call to a summarized entry kills only the masked registers instead of
   // every fact — the independent re-proof of the O4 pass's
   // CalleeClobberSummary-based elisions. Null keeps the classic
   // kill-everything-at-calls rule.
-  const std::map<uint64_t, uint64_t>* callee_clobbers = nullptr;
+  const CalleeClobberTable* callee_clobbers = nullptr;
   // Speculation-hardening contract the bytes must additionally satisfy:
   // kBarrier demands an lfence immediately after every recognized check
   // (SPEC_BARRIER); kMask demands that no speculation-prone check (cmp/ja
@@ -53,16 +66,18 @@ struct ConfinementParams {
 void CheckReadConfinement(const DecodedFunction& fn, const ConfinementParams& params,
                           VerifyReport* report);
 
-// Byte-level callee-clobber masks for the decoded functions of an image
-// (exempt functions included — their bodies still execute as callees): per
-// entry address, the union over every decoded instruction of the registers
-// written, plus transitively the mask of every direct callee or
-// out-of-function tail jump. Indirect calls/jumps and direct transfers to
-// un-decoded targets yield the all-registers mask. Calls to
+// Byte-level callee-clobber masks for the function symbols `functions` of
+// `image` (exempt functions included — their bodies still execute as
+// callees), from a linear sweep of each function's bytes: per entry
+// address, the union over every instruction of the registers written, plus
+// transitively the mask of every direct callee or out-of-function tail
+// jump. Indirect calls/jumps and direct transfers to targets that are not
+// the entry of a decodable function yield the all-registers mask. Calls to
 // `handler_address` are excluded: the violation path never returns
 // (call; hlt), so its effects cannot reach a returning path.
-std::map<uint64_t, uint64_t> ComputeByteCalleeClobbers(
-    const std::vector<const DecodedFunction*>& functions, uint64_t handler_address);
+CalleeClobberTable ComputeByteCalleeClobbers(const KernelImage& image,
+                                             const std::vector<const Symbol*>& functions,
+                                             uint64_t handler_address);
 
 }  // namespace krx
 

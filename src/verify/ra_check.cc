@@ -131,7 +131,7 @@ void CheckRaEncrypt(const DecodedFunction& fn, const KernelImage& image,
       }
     }
     // ---- Return sites: zap the stale plaintext below %rsp (§5.2.2). ----
-    if (di.inst.IsCall()) {
+    if (di.is_call) {
       const DecodedInst* next = AfterCall(fn, i);
       bool zaps = next != nullptr && next->inst.op == Opcode::kStoreImm && next->inst.imm == 0 &&
                   next->inst.mem == MemOperand::Base(Reg::kRsp, -8);
@@ -213,7 +213,7 @@ void CheckRaDecoy(const DecodedFunction& fn, const KernelImage& image,
     }
     // ---- Every call / tail call passes a live tripwire via %r11. ----
     const bool tail = IsTailCall(fn, di);
-    if (di.inst.IsCall() || tail) {
+    if (di.is_call || tail) {
       bool lea_ok = i >= 1 && fn.insts[i - 1].inst.op == Opcode::kLea &&
                     fn.insts[i - 1].inst.r1 == kRangeCheckScratch &&
                     fn.insts[i - 1].inst.mem.rip_relative;

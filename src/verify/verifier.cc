@@ -36,55 +36,42 @@ VerifyReport VerifyImage(const KernelImage& image, const VerifyOptions& options)
   ra.diversify = options.check_diversify;
   ra.entropy_bits_k = options.entropy_bits_k;
 
-  // First sweep: decode every defined function — exempt ones included,
-  // because their bodies still execute as callees and feed the byte-level
-  // callee-clobber masks that let the confinement checker re-prove the O4
-  // pass's call-transparent elisions. Decode diagnostics are only raised
-  // for functions that are actually checked below.
   const SymbolTable& symbols = image.symbols();
-  struct FnDecode {
-    const Symbol* sym;
-    bool exempt;
-    Result<DecodedFunction> decoded;
-  };
-  std::vector<FnDecode> decodes;
+  std::vector<const Symbol*> functions;
   for (int32_t i = 0; i < static_cast<int32_t>(symbols.size()); ++i) {
     const Symbol& sym = symbols.at(i);
-    if (!sym.defined || sym.kind != SymbolKind::kFunction || sym.size == 0) {
-      continue;
-    }
-    const bool exempt =
-        sym.name == kKrxHandlerName || options.exempt_functions.count(sym.name) > 0;
-    decodes.push_back(
-        FnDecode{&sym, exempt, DecodeFunction(image, sym.name, sym.address, sym.size)});
-  }
-
-  std::vector<const DecodedFunction*> summarizable;
-  for (const FnDecode& entry : decodes) {
-    if (entry.decoded.ok()) {
-      summarizable.push_back(&*entry.decoded);
+    if (sym.defined && sym.kind == SymbolKind::kFunction && sym.size != 0) {
+      functions.push_back(&sym);
     }
   }
-  const std::map<uint64_t, uint64_t> callee_clobbers =
-      ComputeByteCalleeClobbers(summarizable, rx.handler_address);
-  rx.callee_clobbers = &callee_clobbers;
 
-  for (const FnDecode& entry : decodes) {
-    const Symbol& sym = *entry.sym;
-    if (entry.exempt) {
+  // Read confinement re-proves the O4 pass's call-transparent elisions with
+  // byte-level callee-clobber masks: a whole-image sweep over every
+  // function, exempt ones included, because their bodies still execute as
+  // callees. Nothing else reads the masks.
+  CalleeClobberTable callee_clobbers;
+  if (options.check_rx) {
+    callee_clobbers = ComputeByteCalleeClobbers(image, functions, rx.handler_address);
+    rx.callee_clobbers = &callee_clobbers;
+  }
+
+  // Every checked function decodes into the same object, in symbol order.
+  DecodedFunction decoded;
+  for (const Symbol* sym : functions) {
+    if (sym->name == kKrxHandlerName || options.exempt_functions.count(sym->name) > 0) {
       ++report.counters.functions_exempt;
       continue;
     }
-    if (!entry.decoded.ok()) {
+    Status decode = decoded.Decode(image, sym->name, sym->address, sym->size);
+    if (!decode.ok()) {
       Diagnostic d;
       d.rule = RuleId::kCfgDecode;
-      d.function = sym.name;
-      d.address = sym.address;
-      d.message = entry.decoded.status().message();
+      d.function = sym->name;
+      d.address = sym->address;
+      d.message = decode.message();
       report.Add(std::move(d));
       continue;
     }
-    const DecodedFunction& decoded = *entry.decoded;
     ++report.counters.functions_checked;
     if (options.check_rx) {
       CheckReadConfinement(decoded, rx, &report);

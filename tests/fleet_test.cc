@@ -21,6 +21,7 @@
 #include "src/fleet/image_key.h"
 #include "src/fleet/kernel_cache.h"
 #include "src/fleet/tenant.h"
+#include "src/verify/decoded_function.h"
 #include "src/workload/harness.h"
 #include "src/workload/ipc.h"
 #include "src/workload/vfs.h"
@@ -151,6 +152,44 @@ TEST(FleetTest, TenantLayoutsDivergeAfterEpoch) {
   // And both diverged from the shared pristine order's base placement: the
   // pristine blob itself is untouched (identical object, immutable).
   EXPECT_EQ(map_a.pristine.get(), map_b.pristine.get());
+}
+
+// Return sites are decoded once, when the build captures its pristine blob,
+// and every tenant's map carries them from there. Each must still be
+// exactly the set of call ends an independent decode of the function's
+// linked bytes finds, in the tenant's own image.
+TEST(RerandMap, TenantReturnSitesMatchPristineDecode) {
+  ProtectionConfig config;
+  LayoutKind layout;
+  ASSERT_TRUE(ParseConfigName("sfi+x", 0x5173, &config, &layout));
+  auto base = CompileKernel(MakeBenchSource(0x5173), {config, layout});
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+  for (uint64_t tenant_seed : {0xA11CEULL, 0xB0BULL}) {
+    BuildOptions options{config, layout};
+    options.seed = tenant_seed;
+    auto tenant = MaterializeTenant(*base, options);
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    const RerandMap& map = *tenant->rerand;
+    EXPECT_EQ(map.pristine.get(), base->rerand->pristine.get());
+    ASSERT_EQ(map.functions.size(), base->rerand->functions.size());
+
+    size_t sites = 0;
+    for (const RerandFunction& fn : map.functions) {
+      const uint64_t entry = map.text_base + fn.current_offset;
+      auto decoded = DecodeFunction(*tenant->image, fn.name, entry, fn.size);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      std::vector<uint64_t> call_ends;
+      for (const DecodedInst& di : decoded->insts) {
+        if (di.inst.IsCall()) {
+          call_ends.push_back(di.address + di.size - entry);
+        }
+      }
+      EXPECT_EQ(fn.return_sites, call_ends) << fn.name;
+      sites += call_ends.size();
+    }
+    EXPECT_GT(sites, map.functions.size());  // the corpus is call-heavy
+  }
 }
 
 // The acceptance witness: a CoW tenant is semantically bit-identical to a
