@@ -419,6 +419,226 @@ TEST(VerifyMutation, DeadTripwireIsCaught) {
   ExpectOnlyRule(VerifyImage(*kernel.image, opts), RuleId::kRaDTripwire);
 }
 
+// Every checked (non-handler) function of `image`, decoded.
+std::vector<DecodedFunction> DecodeChecked(const KernelImage& image) {
+  std::vector<DecodedFunction> out;
+  const SymbolTable& symbols = image.symbols();
+  for (int32_t s = 0; s < static_cast<int32_t>(symbols.size()); ++s) {
+    const Symbol& sym = symbols.at(s);
+    if (sym.defined && sym.kind == SymbolKind::kFunction && sym.size != 0 &&
+        sym.name != kKrxHandlerName) {
+      out.push_back(Decode(image, sym.name));
+    }
+  }
+  return out;
+}
+
+TEST(VerifyMutation, UndecodableFunctionIsCaught) {
+  CompiledKernel kernel = Build(ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  ASSERT_TRUE(VerifyImage(*kernel.image, opts).ok());
+
+  // An opcode byte past the ISA's last opcode at the entry: the linear
+  // sweep cannot get past the first instruction.
+  const DecodedFunction fn = Decode(*kernel.image, "util_1");
+  const uint8_t invalid = 0xFF;
+  ASSERT_GE(invalid, static_cast<uint8_t>(Opcode::kNumOpcodes));
+  KRX_CHECK_OK(kernel.image->PokeBytes(fn.address, &invalid, 1));
+
+  VerifyReport report = VerifyImage(*kernel.image, opts);
+  ExpectOnlyRule(report, RuleId::kCfgDecode);
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].function, "util_1");
+  EXPECT_EQ(report.diagnostics[0].address, fn.address);
+}
+
+TEST(VerifyMutation, OverwideCheckCoverageIsCaught) {
+  CompiledKernel kernel = Build(ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  ASSERT_TRUE(VerifyImage(*kernel.image, opts).ok());
+
+  // Lower a check's bound to 8 bytes more than the phantom guard below
+  // _krx_edata: the read it guards stays justified, but a displacement that
+  // far past edata would land in code.
+  RangeCheckSite site;
+  ASSERT_TRUE(FindRangeCheckSite(*kernel.image, &site));
+  const PlacedSection* guard = kernel.image->FindSection(".krx_phantom");
+  ASSERT_NE(guard, nullptr);
+  Instruction cmp = site.fn.insts[site.index].inst;
+  cmp.imm = static_cast<int64_t>(kernel.image->krx_edata() - guard->mapped_size - 8);
+  Rewrite(*kernel.image, site.fn.insts[site.index], cmp);
+
+  ExpectOnlyRule(VerifyImage(*kernel.image, opts), RuleId::kRxCheckDisp);
+}
+
+bool IsXorRspR11(const Instruction& inst) {
+  return inst.op == Opcode::kXorMR && inst.r1 == Reg::kR11 &&
+         inst.mem == MemOperand::Base(Reg::kRsp, 0);
+}
+
+TEST(VerifyMutation, UndecryptedReturnIsCaught) {
+  CompiledKernel kernel =
+      Build(ProtectionConfig::DiversifyOnly(RaScheme::kEncrypt, kSeed), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  ASSERT_TRUE(VerifyImage(*kernel.image, opts).ok());
+
+  // The xor right before a ret: shift it one slot up the stack, so the
+  // return address is left encrypted.
+  const DecodedFunction fn = Decode(*kernel.image, "util_1");
+  bool mutated = false;
+  for (size_t i = 1; i < fn.insts.size() && !mutated; ++i) {
+    if (fn.insts[i].reachable && fn.insts[i].inst.op == Opcode::kRet &&
+        IsXorRspR11(fn.insts[i - 1].inst)) {
+      Instruction broken = fn.insts[i - 1].inst;
+      broken.mem = MemOperand::Base(Reg::kRsp, 8);
+      Rewrite(*kernel.image, fn.insts[i - 1], broken);
+      mutated = true;
+    }
+  }
+  ASSERT_TRUE(mutated);
+  ExpectOnlyRule(VerifyImage(*kernel.image, opts), RuleId::kRaXEpilogue);
+}
+
+TEST(VerifyMutation, MissingReturnSiteZapIsCaught) {
+  CompiledKernel kernel =
+      Build(ProtectionConfig::DiversifyOnly(RaScheme::kEncrypt, kSeed), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  ASSERT_TRUE(VerifyImage(*kernel.image, opts).ok());
+
+  // The zap store that runs after a call returns (past any connector jmps
+  // the block permutation put behind the call): make it store 1 instead of
+  // 0, so the stale plaintext return address survives below %rsp.
+  bool mutated = false;
+  for (const DecodedFunction& fn : DecodeChecked(*kernel.image)) {
+    for (const DecodedInst& call : fn.insts) {
+      if (!call.reachable || !call.inst.IsCall()) {
+        continue;
+      }
+      const DecodedInst* zap = fn.InstAt(call.address + call.size);
+      for (int hops = 0; zap != nullptr && zap->inst.op == Opcode::kJmpRel &&
+                         fn.Contains(zap->BranchTarget()) && hops < 16;
+           ++hops) {
+        zap = fn.InstAt(zap->BranchTarget());
+      }
+      if (zap != nullptr && zap->inst.op == Opcode::kStoreImm && zap->inst.imm == 0) {
+        Instruction broken = zap->inst;
+        broken.imm = 1;
+        Rewrite(*kernel.image, *zap, broken);
+        mutated = true;
+        break;
+      }
+    }
+    if (mutated) {
+      break;
+    }
+  }
+  ASSERT_TRUE(mutated);
+  ExpectOnlyRule(VerifyImage(*kernel.image, opts), RuleId::kRaXCallSite);
+}
+
+// A decoy-scheme function whose prologue drew the `push %r11` ordering
+// (decoy on top, §5.2.2): its entry index, or -1.
+int64_t DecoyOnTopEntry(const DecodedFunction& fn) {
+  const int64_t entry = EntryIndex(fn);
+  if (entry < 0) {
+    return -1;
+  }
+  const Instruction& first = fn.insts[static_cast<size_t>(entry)].inst;
+  return first.op == Opcode::kPushR && first.r1 == Reg::kR11 ? entry : -1;
+}
+
+TEST(VerifyMutation, UnpairedDecoyPrologueIsCaught) {
+  CompiledKernel kernel =
+      Build(ProtectionConfig::DiversifyOnly(RaScheme::kDecoy, kSeed), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  ASSERT_TRUE(VerifyImage(*kernel.image, opts).ok());
+
+  // Push the wrong register at entry: no {real, decoy} pair is set up.
+  bool mutated = false;
+  for (const DecodedFunction& fn : DecodeChecked(*kernel.image)) {
+    const int64_t entry = DecoyOnTopEntry(fn);
+    if (entry >= 0) {
+      const DecodedInst& push = fn.insts[static_cast<size_t>(entry)];
+      Rewrite(*kernel.image, push, Instruction::PushR(Reg::kRbx));
+      mutated = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(mutated);
+  ExpectOnlyRule(VerifyImage(*kernel.image, opts), RuleId::kRaDPrologue);
+}
+
+TEST(VerifyMutation, UndroppedDecoySlotIsCaught) {
+  CompiledKernel kernel =
+      Build(ProtectionConfig::DiversifyOnly(RaScheme::kDecoy, kSeed), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  ASSERT_TRUE(VerifyImage(*kernel.image, opts).ok());
+
+  // With the decoy on top, a ret must first drop it (`add $8, %rsp`): drop
+  // two slots instead, so the ret consumes the wrong word.
+  bool mutated = false;
+  for (const DecodedFunction& fn : DecodeChecked(*kernel.image)) {
+    if (DecoyOnTopEntry(fn) < 0) {
+      continue;
+    }
+    for (size_t i = 1; i < fn.insts.size() && !mutated; ++i) {
+      const DecodedInst& drop = fn.insts[i - 1];
+      if (fn.insts[i].reachable && fn.insts[i].inst.op == Opcode::kRet &&
+          drop.inst.op == Opcode::kAddRI && drop.inst.r1 == Reg::kRsp && drop.inst.imm == 8) {
+        Rewrite(*kernel.image, drop, Instruction::AddRI(Reg::kRsp, 16));
+        mutated = true;
+      }
+    }
+    if (mutated) {
+      break;
+    }
+  }
+  ASSERT_TRUE(mutated);
+  ExpectOnlyRule(VerifyImage(*kernel.image, opts), RuleId::kRaDEpilogue);
+}
+
+TEST(VerifyMutation, MissingEntryPadIsCaught) {
+  CompiledKernel kernel =
+      Build(ProtectionConfig::DiversifyOnly(RaScheme::kEncrypt, kSeed), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  ASSERT_TRUE(VerifyImage(*kernel.image, opts).ok());
+
+  // The pinned entry trampoline must be followed by its phantom pad (int3
+  // run closed by ud2): turn the pad's leading int3 into a nop. (A pad that
+  // is a bare ud2 also heads a phantom unit, so it is left alone: removing
+  // it would cost entropy too.)
+  bool mutated = false;
+  for (const DecodedFunction& fn : DecodeChecked(*kernel.image)) {
+    if (fn.insts.size() > 1 && fn.insts[0].inst.op == Opcode::kJmpRel &&
+        fn.insts[1].inst.op == Opcode::kInt3 && !fn.insts[1].reachable) {
+      Rewrite(*kernel.image, fn.insts[1], Instruction::Nop());
+      mutated = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(mutated);
+
+  VerifyReport report = VerifyImage(*kernel.image, opts);
+  ExpectOnlyRule(report, RuleId::kDivEntry);
+  EXPECT_EQ(report.diagnostics.size(), 1u);
+}
+
+TEST(VerifyMutation, InsufficientPermutationEntropyIsCaught) {
+  CompiledKernel kernel =
+      Build(ProtectionConfig::DiversifyOnly(RaScheme::kEncrypt, kSeed), LayoutKind::kKrx);
+  VerifyOptions opts = VerifyOptions::ForConfig(kernel.config);
+  VerifyReport report = VerifyImage(*kernel.image, opts);
+  ASSERT_TRUE(report.ok());
+
+  // Demand more bits than any function's permutable units can give (a
+  // function of 100 units offers lg(100!) ~ 525 bits): every checked
+  // function falls short.
+  opts.entropy_bits_k = 4096;
+  VerifyReport strict = VerifyImage(*kernel.image, opts);
+  ExpectOnlyRule(strict, RuleId::kDivEntropy);
+  EXPECT_EQ(strict.diagnostics.size(), report.counters.functions_checked);
+}
+
 // ---- The `sub r, imm` congruence of the interval domain. ----
 
 // Probe with one widened dominating check and a downward base derivation:
