@@ -60,7 +60,7 @@ int main() {
                 lm.text_size);
     std::printf("  .data  -> modules_data 0x%016" PRIx64 "\n", lm.data_vaddr);
     std::printf("  physmap synonym of its text unmapped: %s\n\n",
-                image.page_table().Lookup(image.PhysmapVaddr(lm.text_first_frame)) == nullptr
+                !image.page_table().Lookup(image.PhysmapVaddr(lm.text_first_frame))
                     ? "yes"
                     : "no");
   }
@@ -105,7 +105,7 @@ int main() {
   std::printf("\nmodb unloaded: text zapped (first byte now int3: %s), synonym restored: %s, "
               "symbol gone: %s\n",
               first_byte == 2 ? "yes" : "no",
-              image.page_table().Lookup(image.PhysmapVaddr(frame)) != nullptr ? "yes" : "no",
+              image.page_table().Lookup(image.PhysmapVaddr(frame)) ? "yes" : "no",
               image.symbols().AddressOf("modb_ioctl").ok() ? "no" : "yes");
   return 0;
 }

@@ -20,8 +20,8 @@ CpuOptions SpecCpuOptions(bool mpx) {
 // Data-view physical address of `vaddr` — what a wrong-path access of it
 // lands on, and therefore what the observer records.
 bool PhysOf(const KernelImage& image, uint64_t vaddr, uint64_t* paddr) {
-  const Pte* pte = image.page_table().Lookup(vaddr);
-  if (pte == nullptr || !pte->flags.present) {
+  const std::optional<Pte> pte = image.page_table().Lookup(vaddr);
+  if (!pte || !pte->flags.present) {
     return false;
   }
   const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;

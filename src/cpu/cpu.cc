@@ -86,8 +86,8 @@ bool Cpu::DataRead64(uint64_t vaddr, uint64_t* value) {
     // Heisenbyte baseline (§8): a successful data read of executable bytes
     // destroys them in place, so disclosed gadgets crash when reused.
     for (int i = 0; i < 8; ++i) {
-      const Pte* pte = image_->page_table().Lookup(vaddr + static_cast<uint64_t>(i));
-      if (pte != nullptr && pte->flags.present && !pte->flags.nx) {
+      const std::optional<Pte> pte = image_->page_table().Lookup(vaddr + static_cast<uint64_t>(i));
+      if (pte && pte->flags.present && !pte->flags.nx) {
         image_->phys().Write8((pte->frame << kPageShift) |
                                   PageOffset(vaddr + static_cast<uint64_t>(i)),
                               0xD7);
@@ -294,8 +294,8 @@ struct Cpu::TransientMachine {
     const PageTable& pt = c.image_->page_table();
     size_t n = 0;
     for (; n < 16; ++n) {
-      const Pte* pte = pt.Lookup(vaddr + n);
-      if (pte == nullptr || !pte->flags.present || pte->flags.nx) break;
+      const std::optional<Pte> pte = pt.Lookup(vaddr + n);
+      if (!pte || !pte->flags.present || pte->flags.nx) break;
       if (c.mmu_.smep() && pte->flags.user) break;
       buf[n] = c.image_->phys().Read8((pte->frame << kPageShift) | PageOffset(vaddr + n));
     }
@@ -304,8 +304,8 @@ struct Cpu::TransientMachine {
 
  private:
   bool DataPaddr(uint64_t vaddr, uint64_t* paddr) const {
-    const Pte* pte = c.image_->page_table().Lookup(vaddr);
-    if (pte == nullptr || !pte->flags.present) return false;
+    const std::optional<Pte> pte = c.image_->page_table().Lookup(vaddr);
+    if (!pte || !pte->flags.present) return false;
     if (c.mmu_.smap() && pte->flags.user) return false;
     const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;
     *paddr = (frame << kPageShift) | PageOffset(vaddr);

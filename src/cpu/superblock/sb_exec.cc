@@ -32,8 +32,8 @@ struct Cpu::SbOps {
   // of dangerously fresh. User pages are never cached — the canonical path
   // owns SMAP fault semantics.
   static bool FillTlb(Cpu& c, SbTlbEntry& e, uint64_t vaddr, uint64_t gen) {
-    const Pte* pte = c.image_->page_table().Lookup(vaddr);
-    if (pte == nullptr || !pte->flags.present || pte->flags.user) {
+    const std::optional<Pte> pte = c.image_->page_table().Lookup(vaddr);
+    if (!pte || !pte->flags.present || pte->flags.user) {
       return false;
     }
     const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;

@@ -7,8 +7,8 @@ namespace krx {
 void XnrState::Protect(uint64_t vaddr, uint64_t num_pages) {
   for (uint64_t i = 0; i < num_pages; ++i) {
     uint64_t page = PageFloor(vaddr) + i * kPageSize;
-    const Pte* pte = pt_->Lookup(page);
-    if (pte == nullptr) {
+    const std::optional<Pte> pte = pt_->Lookup(page);
+    if (!pte) {
       continue;
     }
     pages_[page] = *pte;

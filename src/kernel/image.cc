@@ -168,14 +168,14 @@ bool KernelImage::FrameIsCode(uint64_t frame) const {
 }
 
 bool KernelImage::VaddrAliasesCode(uint64_t vaddr, uint64_t span) const {
-  const Pte* pte = page_table_.Lookup(vaddr);
-  if (pte != nullptr && FrameIsCode(pte->frame)) {
+  const std::optional<Pte> pte = page_table_.Lookup(vaddr);
+  if (pte && FrameIsCode(pte->frame)) {
     return true;
   }
   const uint64_t last = vaddr + (span == 0 ? 0 : span - 1);
   if (PageFloor(last) != PageFloor(vaddr)) {
-    const Pte* tail = page_table_.Lookup(last);
-    if (tail != nullptr && FrameIsCode(tail->frame)) {
+    const std::optional<Pte> tail = page_table_.Lookup(last);
+    if (tail && FrameIsCode(tail->frame)) {
       return true;
     }
   }
@@ -185,8 +185,8 @@ bool KernelImage::VaddrAliasesCode(uint64_t vaddr, uint64_t span) const {
 Status KernelImage::PokeBytes(uint64_t vaddr, const uint8_t* src, uint64_t len) {
   bool touched_code = false;
   for (uint64_t done = 0; done < len;) {
-    const Pte* pte = page_table_.Lookup(vaddr + done);
-    if (pte == nullptr) {
+    const std::optional<Pte> pte = page_table_.Lookup(vaddr + done);
+    if (!pte) {
       return NotFoundError("poke to unmapped address");
     }
     uint64_t in_page = kPageSize - PageOffset(vaddr + done);
@@ -203,8 +203,8 @@ Status KernelImage::PokeBytes(uint64_t vaddr, const uint8_t* src, uint64_t len) 
 
 Status KernelImage::PeekBytes(uint64_t vaddr, uint8_t* dst, uint64_t len) const {
   for (uint64_t done = 0; done < len;) {
-    const Pte* pte = page_table_.Lookup(vaddr + done);
-    if (pte == nullptr) {
+    const std::optional<Pte> pte = page_table_.Lookup(vaddr + done);
+    if (!pte) {
       return NotFoundError("peek of unmapped address");
     }
     uint64_t in_page = kPageSize - PageOffset(vaddr + done);

@@ -9,10 +9,13 @@
 #ifndef KRX_SRC_MEM_MMU_H_
 #define KRX_SRC_MEM_MMU_H_
 
+#include <array>
 #include <atomic>
+#include <bitset>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/status.h"
@@ -58,13 +61,29 @@ struct PageFault {
   Access access = Access::kRead;
 };
 
+// x86-64 virtual addresses are 48 bits wide: bits 63:47 must all equal
+// bit 47. Anything else is non-canonical and never translates.
+inline bool IsCanonical(uint64_t vaddr) {
+  const int64_t high = static_cast<int64_t>(vaddr) >> 47;
+  return high == 0 || high == -1;
+}
+
+// The page table, shaped like x86-64's 4-level paging: 512 entries per
+// level, indexed by bits 47:12 of a canonical address (PML4, PDPT, page
+// directory, page table). A page-directory slot holds either one 2 MB
+// mapping of 512 consecutive frames or a pointer to a 512-entry leaf, so a
+// 64 MB physmap is 32 slots, the way Linux maps its direct map. Writing
+// one page inside a 2 MB mapping first splits the slot into a leaf.
 class PageTable {
  public:
+  static constexpr uint64_t kFanout = 512;  // entries per level
+
   PageTable() = default;
   // Checkpoint capture copies the table by value; the copy starts with the
   // source's generation (a fresh object has no cached translations yet).
   PageTable(const PageTable& o)
-      : entries_(o.entries_),
+      : root_(o.root_),
+        mapped_pages_(o.mapped_pages_),
         generation_(o.generation_.load(std::memory_order_acquire)) {}
   // Checkpoint restore copy-assigns entries back into the live table. The
   // generation stays monotonic and is bumped — never rewound — so any
@@ -72,43 +91,94 @@ class PageTable {
   // afterwards (a rewound counter could re-validate stale entries).
   PageTable& operator=(const PageTable& o) {
     if (this != &o) {
-      entries_ = o.entries_;
+      root_ = o.root_;
+      mapped_pages_ = o.mapped_pages_;
       BumpGeneration();
     }
     return *this;
   }
 
   // Maps the virtual page containing `vaddr` to `frame`. Remapping an
-  // existing page replaces the entry.
+  // existing page replaces the entry. A non-canonical `vaddr` aborts.
   void Map(uint64_t vaddr, uint64_t frame, PteFlags flags);
   void Unmap(uint64_t vaddr);
 
-  const Pte* Lookup(uint64_t vaddr) const;
+  // The entry translating `vaddr`, by value: a page inside a 2 MB mapping
+  // has no Pte of its own. Empty for unmapped and non-canonical addresses.
+  std::optional<Pte> Lookup(uint64_t vaddr) const;
+  // The entry itself, for in-place edits (callers bump the generation).
+  // Splits a 2 MB mapping around `vaddr` into a leaf first.
   Pte* LookupMutable(uint64_t vaddr);
 
   // Maps `num_pages` consecutive virtual pages starting at `vaddr` (page
-  // aligned) to consecutive frames starting at `first_frame`.
+  // aligned) to consecutive frames starting at `first_frame`. Each run of
+  // 512 pages that starts 2 MB-aligned at a 512-aligned frame becomes one
+  // 2 MB mapping, as an x86 PDE with the PS bit would hold it.
   void MapRange(uint64_t vaddr, uint64_t first_frame, uint64_t num_pages, PteFlags flags);
   void UnmapRange(uint64_t vaddr, uint64_t num_pages);
 
-  size_t MappedPageCount() const { return entries_.size(); }
+  // Mapped 4 KB pages; a 2 MB mapping counts 512.
+  size_t MappedPageCount() const { return mapped_pages_; }
+  // Host bytes held by the table's nodes, the root included.
+  uint64_t TableBytes() const;
 
-  // Scans for W+X mappings (kernel W^X policy audit).
+  // Scans for W+X mappings (kernel W^X policy audit), in address order.
   std::vector<uint64_t> FindWxViolations() const;
 
-  // Page-generation counter: bumped by every Map/Unmap (and by callers that
-  // mutate a Pte in place through LookupMutable — XnR present-bit flips, the
-  // fault injector's permission corruption). Cached translations (the
-  // superblock engine's inline TLB) are tagged with the generation at fill
-  // time and revalidate with one acquire load per hit, so rerand epochs,
-  // module load/unload and any other remap flush exactly the entries cached
-  // against an older table. The counter is shared by every Cpu's Mmu view,
-  // like the entries themselves.
+  // Page-generation counter: bumped by every Map/Unmap/MapRange/UnmapRange
+  // call (once per call) and by callers that mutate a Pte in place through
+  // LookupMutable — HideM's data frames, the fault injector's present-bit
+  // and permission corruption. Cached translations (the superblock engine's inline TLB)
+  // are tagged with the generation at fill time and revalidate with one
+  // acquire load per hit, so rerand epochs, module load/unload and any
+  // other remap flush exactly the entries cached against an older table.
+  // The counter is shared by every Cpu's Mmu view, like the entries
+  // themselves.
   uint64_t generation() const { return generation_.load(std::memory_order_acquire); }
   void BumpGeneration() { generation_.fetch_add(1, std::memory_order_acq_rel); }
 
  private:
-  std::unordered_map<uint64_t, Pte> entries_;  // key: vaddr >> kPageShift
+  // A unique_ptr that deep-copies, so copying the table copies every node.
+  template <typename T>
+  struct Owned : std::unique_ptr<T> {
+    Owned() = default;
+    Owned(const Owned& o) : std::unique_ptr<T>(o ? new T(*o) : nullptr) {}
+    Owned(Owned&&) noexcept = default;
+    Owned& operator=(const Owned& o) {
+      this->reset(o ? new T(*o) : nullptr);
+      return *this;
+    }
+    Owned& operator=(Owned&&) noexcept = default;
+  };
+  // Page-table level: 512 Ptes, and which of them are mapped (a mapped
+  // entry may still be not-present: its flags are edited in place).
+  struct Leaf {
+    std::array<Pte, kFanout> ptes;
+    std::bitset<kFanout> mapped;
+  };
+  // Page-directory slot: empty, a 2 MB mapping of frames [frame, frame +
+  // 512) with `flags`, or a leaf.
+  struct Slot {
+    Owned<Leaf> leaf;
+    uint64_t frame = 0;
+    PteFlags flags;
+    bool huge = false;
+    bool empty() const { return !huge && leaf == nullptr; }
+  };
+  using Dir = std::array<Slot, kFanout>;
+  using Pdpt = std::array<Owned<Dir>, kFanout>;
+  using Pml4 = std::array<Owned<Pdpt>, kFanout>;
+
+  // The slot covering `vaddr`; null if `vaddr` is non-canonical or no
+  // directory covers it.
+  const Slot* FindSlot(uint64_t vaddr) const;
+  // Creates the directories down to the slot of a canonical `vaddr`.
+  Slot& SlotFor(uint64_t vaddr);
+  // The slot's leaf: created empty, or split from its 2 MB mapping.
+  static Leaf& LeafOf(Slot& slot);
+
+  Pml4 root_;
+  size_t mapped_pages_ = 0;
   std::atomic<uint64_t> generation_{0};
 };
 

@@ -48,7 +48,7 @@ uint64_t CheckpointManager::snapshot_bytes() const {
   for (const std::vector<uint64_t>& state : host_state_) {
     host_words += state.size();
   }
-  return static_cast<uint64_t>(phys_.size() + page_table_.MappedPageCount() * sizeof(Pte) +
+  return static_cast<uint64_t>(phys_.size() + page_table_.TableBytes() +
                                (symbol_addrs_.size() + host_words) * sizeof(uint64_t) +
                                cpu_state_.size() * sizeof(Cpu::ArchState));
 }

@@ -93,8 +93,8 @@ void CheckPhysmapSynonyms(const KernelImage& image, VerifyReport* report) {
     const uint64_t pages = s.mapped_size >> kPageShift;
     for (uint64_t p = 0; p < pages; ++p) {
       uint64_t alias = image.PhysmapVaddr(s.first_frame + p);
-      const Pte* pte = image.page_table().Lookup(alias);
-      if (pte != nullptr && pte->flags.present) {
+      const std::optional<Pte> pte = image.page_table().Lookup(alias);
+      if (pte && pte->flags.present) {
         if (aliased == 0) {
           first_alias = alias;
         }

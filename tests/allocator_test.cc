@@ -83,13 +83,13 @@ TEST_P(AllocatorLayoutTest, VmallocMapsAndGuards) {
     ASSERT_TRUE(kernel.image->Poke64(*p + static_cast<uint64_t>(i) * kPageSize, 1).ok());
   }
   // ...and the guard page after the range is unmapped.
-  EXPECT_EQ(kernel.image->page_table().Lookup(*p + 4 * kPageSize), nullptr);
+  EXPECT_FALSE(kernel.image->page_table().Lookup(*p + 4 * kPageSize).has_value());
   // A second allocation lands past the guard.
   auto q = arena.Vmalloc(kPageSize);
   ASSERT_TRUE(q.ok());
   EXPECT_GE(*q, *p + 5 * kPageSize);
   ASSERT_TRUE(arena.Vfree(*p).ok());
-  EXPECT_EQ(kernel.image->page_table().Lookup(*p), nullptr);
+  EXPECT_FALSE(kernel.image->page_table().Lookup(*p).has_value());
   EXPECT_FALSE(arena.Vfree(*p).ok());  // double vfree rejected
 }
 

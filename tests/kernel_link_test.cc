@@ -184,8 +184,8 @@ TEST(LinkKernel, PhysmapSynonymsOfCodeUnmapped) {
   const PlacedSection* text = (*image)->FindSection(".text");
   const PlacedSection* data = (*image)->FindSection(".data");
   // Code synonym gone; data synonym still present.
-  EXPECT_EQ((*image)->page_table().Lookup((*image)->PhysmapVaddr(text->first_frame)), nullptr);
-  EXPECT_NE((*image)->page_table().Lookup((*image)->PhysmapVaddr(data->first_frame)), nullptr);
+  EXPECT_FALSE((*image)->page_table().Lookup((*image)->PhysmapVaddr(text->first_frame)).has_value());
+  EXPECT_TRUE((*image)->page_table().Lookup((*image)->PhysmapVaddr(data->first_frame)).has_value());
 }
 
 TEST(LinkKernel, VanillaKeepsCodeSynonyms) {
@@ -195,7 +195,7 @@ TEST(LinkKernel, VanillaKeepsCodeSynonyms) {
   ASSERT_TRUE(image.ok());
   const PlacedSection* text = (*image)->FindSection(".text");
   // ret2dir-style alias remains readable and writable through the physmap.
-  EXPECT_NE((*image)->page_table().Lookup((*image)->PhysmapVaddr(text->first_frame)), nullptr);
+  EXPECT_TRUE((*image)->page_table().Lookup((*image)->PhysmapVaddr(text->first_frame)).has_value());
 }
 
 TEST(LinkKernel, NoWxMappings) {
@@ -261,14 +261,14 @@ TEST(ModuleLoader, LoadBindUnloadZap) {
   // Eager binding resolved the symbol.
   EXPECT_TRUE((*image)->symbols().AddressOf("mod_entry").ok());
   // Module text synonym removed from the physmap.
-  EXPECT_EQ((*image)->page_table().Lookup((*image)->PhysmapVaddr(lm.text_first_frame)), nullptr);
+  EXPECT_FALSE((*image)->page_table().Lookup((*image)->PhysmapVaddr(lm.text_first_frame)).has_value());
 
   uint64_t text_vaddr = lm.text_vaddr;
   uint64_t frame = lm.text_first_frame;
   ASSERT_TRUE(loader.Unload(*handle).ok());
   // Unmapped, zapped, synonym restored, symbols gone.
-  EXPECT_EQ((*image)->page_table().Lookup(text_vaddr), nullptr);
-  EXPECT_NE((*image)->page_table().Lookup((*image)->PhysmapVaddr(frame)), nullptr);
+  EXPECT_FALSE((*image)->page_table().Lookup(text_vaddr).has_value());
+  EXPECT_TRUE((*image)->page_table().Lookup((*image)->PhysmapVaddr(frame)).has_value());
   EXPECT_EQ((*image)->phys().Read8(frame << kPageShift), kTextPadByte);
   EXPECT_FALSE((*image)->symbols().AddressOf("mod_entry").ok());
   // Double unload fails cleanly.

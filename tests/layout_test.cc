@@ -103,8 +103,8 @@ TEST(Layout, GuardSectionIsUnwritableAndUnexecutable) {
   ASSERT_TRUE(kernel.ok());
   const PlacedSection* guard = kernel->image->FindSection(".krx_phantom");
   ASSERT_NE(guard, nullptr);
-  const Pte* pte = kernel->image->page_table().Lookup(guard->vaddr);
-  ASSERT_NE(pte, nullptr);
+  const std::optional<Pte> pte = kernel->image->page_table().Lookup(guard->vaddr);
+  ASSERT_TRUE(pte.has_value());
   EXPECT_FALSE(pte->flags.writable);
   EXPECT_TRUE(pte->flags.nx);
   // Stray %rsp-relative reads that spill past _krx_edata land here and read

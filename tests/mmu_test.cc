@@ -2,6 +2,9 @@
 // paper: execute-only memory is not expressible (X implies R).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/mem/mmu.h"
 
 namespace krx {
@@ -133,6 +136,200 @@ TEST_F(MmuTest, SmapBlocksSupervisorDataAccessToUserPage) {
   // Kernel pages stay accessible.
   pt_.Map(0x5000, 15, PteFlags{true, true, true, false});
   EXPECT_TRUE(mmu_.Read64(0x5000).ok());
+}
+
+// --- The radix table: 2 MB mappings, splits, canonical addresses ---
+
+constexpr uint64_t kRunPages = PageTable::kFanout;       // pages per 2 MB mapping
+constexpr uint64_t kRunBytes = kRunPages * kPageSize;    // 2 MB
+constexpr uint64_t kDirectMap = 0xFFFF888000000000ULL;   // 2 MB aligned, upper half
+constexpr PteFlags kRw{true, true, true};
+constexpr PteFlags kRo{true, false, true};
+constexpr PteFlags kRwx{true, true, false};
+
+uint64_t Page(uint64_t base, uint64_t i) { return base + i * kPageSize; }
+
+// Bits 47:12 of these addresses equal those of 0xFFFF900000000000, so a
+// radix walk that skipped the canonical check would land on its entry.
+TEST(PageTableRadix, NonCanonicalAddressesNeverTranslate) {
+  PhysMem phys(1 << 20);
+  PageTable pt;
+  Mmu mmu(&phys, &pt);
+  pt.Map(0xFFFF900000000000ULL, 3, kRw);
+  ASSERT_TRUE(pt.Lookup(0xFFFF900000000000ULL).has_value());
+  for (uint64_t vaddr : {0x0000900000000000ULL, 0x0000900000000008ULL, 0x7FFF900000000000ULL,
+                         0x8000900000000000ULL, 0xFFFE900000000000ULL}) {
+    SCOPED_TRACE(::testing::Message() << std::hex << vaddr);
+    EXPECT_FALSE(IsCanonical(vaddr));
+    EXPECT_FALSE(pt.Lookup(vaddr).has_value());
+    EXPECT_EQ(pt.LookupMutable(vaddr), nullptr);
+    EXPECT_FALSE(mmu.Read64(vaddr).ok());
+    EXPECT_EQ(mmu.last_fault().kind, FaultKind::kNotPresent);
+  }
+  EXPECT_DEATH(pt.Map(0x0000900000000000ULL, 4, kRw), "");
+  // A range may not run from the lower half into the hole either.
+  EXPECT_DEATH(pt.MapRange(0x00007FFFFFFFF000ULL, 4, 2, kRw), "");
+}
+
+TEST(PageTableRadix, EditsInsideA2MbMappingLeaveTheOtherPagesAlone) {
+  constexpr uint64_t kVictim = 77;
+  for (int edit = 0; edit < 3; ++edit) {
+    SCOPED_TRACE(edit == 0 ? "Unmap" : edit == 1 ? "Map" : "LookupMutable");
+    PageTable pt;
+    pt.MapRange(kDirectMap, kRunPages, kRunPages, kRw);
+    const uint64_t victim = Page(kDirectMap, kVictim);
+    if (edit == 0) {
+      pt.Unmap(victim);
+      EXPECT_FALSE(pt.Lookup(victim).has_value());
+    } else if (edit == 1) {
+      pt.Map(victim, 9999, kRo);
+      auto pte = pt.Lookup(victim);
+      ASSERT_TRUE(pte.has_value());
+      EXPECT_EQ(pte->frame, 9999u);
+      EXPECT_EQ(pte->flags, kRo);
+    } else {
+      Pte* pte = pt.LookupMutable(victim);
+      ASSERT_NE(pte, nullptr);
+      EXPECT_EQ(pte->frame, kRunPages + kVictim);
+      pte->flags.present = false;
+      EXPECT_FALSE(pt.Lookup(victim)->flags.present);
+    }
+    for (uint64_t i = 0; i < kRunPages; ++i) {
+      if (i == kVictim) {
+        continue;
+      }
+      auto pte = pt.Lookup(Page(kDirectMap, i));
+      ASSERT_TRUE(pte.has_value()) << "page " << i;
+      EXPECT_EQ(pte->frame, kRunPages + i) << "page " << i;
+      EXPECT_EQ(pte->flags, kRw) << "page " << i;
+    }
+    EXPECT_FALSE(pt.Lookup(kDirectMap - kPageSize).has_value());
+    EXPECT_FALSE(pt.Lookup(kDirectMap + kRunBytes).has_value());
+  }
+}
+
+TEST(PageTableRadix, MappedPageCountStaysExact) {
+  PageTable pt;
+  const uint64_t empty_bytes = pt.TableBytes();
+  auto translating = [&] {
+    uint64_t n = 0;
+    for (uint64_t v = kDirectMap - kRunBytes; v < kDirectMap + 5 * kRunBytes; v += kPageSize) {
+      n += pt.Lookup(v).has_value() ? 1 : 0;
+    }
+    return n;
+  };
+  auto expect_count = [&](uint64_t pages) {
+    EXPECT_EQ(pt.MappedPageCount(), pages);
+    EXPECT_EQ(translating(), pages);
+  };
+  // Three 2 MB mappings and a 5-page tail.
+  pt.MapRange(kDirectMap, 0, 3 * kRunPages + 5, kRw);
+  expect_count(3 * kRunPages + 5);
+  // Split the second mapping without changing what it maps.
+  ASSERT_NE(pt.LookupMutable(Page(kDirectMap, kRunPages + 88)), nullptr);
+  expect_count(3 * kRunPages + 5);
+  // Unmap 4 pages straddling the first two runs, then one of them again.
+  pt.UnmapRange(Page(kDirectMap, kRunPages - 2), 4);
+  expect_count(3 * kRunPages + 1);
+  pt.Unmap(Page(kDirectMap, kRunPages - 1));
+  expect_count(3 * kRunPages + 1);
+  // Remap them, then remap the whole first run over its leaf.
+  pt.MapRange(Page(kDirectMap, kRunPages - 2), kRunPages - 2, 4, kRw);
+  expect_count(3 * kRunPages + 5);
+  pt.MapRange(kDirectMap, 0, kRunPages, kRo);
+  expect_count(3 * kRunPages + 5);
+  EXPECT_EQ(pt.Lookup(Page(kDirectMap, kRunPages - 1))->flags, kRo);
+  // Unmapping everything frees every node but the root.
+  pt.UnmapRange(kDirectMap, 3 * kRunPages + 5);
+  expect_count(0);
+  EXPECT_EQ(pt.TableBytes(), empty_bytes);
+}
+
+TEST(PageTableRadix, WxAuditListsEveryPageOfA2MbRun) {
+  PageTable pt;
+  constexpr uint64_t kLow = 0x40000000;  // lower half, 2 MB aligned
+  pt.MapRange(kLow, 2 * kRunPages, kRunPages, kRwx);
+  pt.MapRange(kDirectMap, 0, kRunPages, kRwx);
+  pt.MapRange(kDirectMap + kRunBytes, kRunPages, kRunPages, kRw);
+  std::vector<uint64_t> wx = pt.FindWxViolations();
+  ASSERT_EQ(wx.size(), 2 * kRunPages);
+  for (uint64_t i = 0; i < kRunPages; ++i) {
+    EXPECT_EQ(wx[i], Page(kLow, i));
+    EXPECT_EQ(wx[kRunPages + i], Page(kDirectMap, i));
+  }
+  // Revoking write on one page splits its run; the other 511 stay listed.
+  Pte* pte = pt.LookupMutable(Page(kDirectMap, 5));
+  ASSERT_NE(pte, nullptr);
+  pte->flags.writable = false;
+  wx = pt.FindWxViolations();
+  EXPECT_EQ(wx.size(), 2 * kRunPages - 1);
+  EXPECT_EQ(std::count(wx.begin(), wx.end(), Page(kDirectMap, 5)), 0);
+  EXPECT_EQ(std::count(wx.begin(), wx.end(), Page(kDirectMap, 6)), 1);
+}
+
+TEST(PageTableRadix, CopiesReproduceEveryLookup) {
+  constexpr uint64_t kText = 0xFFFFFFFFC0001000ULL;
+  constexpr uint64_t kUser = 0x400000;
+  constexpr uint64_t kGap = kRunPages + 100;  // unmapped inside the second run
+  PageTable pt;
+  pt.MapRange(kDirectMap, 0, 3 * kRunPages, kRw);
+  pt.Unmap(Page(kDirectMap, kGap));
+  pt.Map(kText, 42, PteFlags{true, false, false});
+  pt.Map(kUser, 43, PteFlags{true, true, false, /*user=*/true});
+
+  auto expect_same = [&](const PageTable& t) {
+    for (uint64_t i = 0; i < 3 * kRunPages; ++i) {
+      auto pte = t.Lookup(Page(kDirectMap, i));
+      if (i == kGap) {
+        EXPECT_FALSE(pte.has_value());
+        continue;
+      }
+      ASSERT_TRUE(pte.has_value()) << "page " << i;
+      EXPECT_EQ(pte->frame, i);
+      EXPECT_EQ(pte->flags, kRw);
+    }
+    EXPECT_FALSE(t.Lookup(Page(kDirectMap, 3 * kRunPages)).has_value());
+    ASSERT_TRUE(t.Lookup(kText).has_value());
+    EXPECT_EQ(t.Lookup(kText)->frame, 42u);
+    ASSERT_TRUE(t.Lookup(kUser).has_value());
+    EXPECT_TRUE(t.Lookup(kUser)->flags.user);
+    EXPECT_EQ(t.MappedPageCount(), 3 * kRunPages + 1);
+  };
+  expect_same(pt);
+
+  PageTable copy(pt);
+  EXPECT_EQ(copy.generation(), pt.generation());
+  EXPECT_EQ(copy.TableBytes(), pt.TableBytes());
+  expect_same(copy);
+  // The copy owns its nodes: edits to either side stay on that side.
+  pt.UnmapRange(kDirectMap, kRunPages);
+  Pte* edited = copy.LookupMutable(Page(kDirectMap, 2 * kRunPages));
+  ASSERT_NE(edited, nullptr);
+  edited->frame = 7;
+  EXPECT_FALSE(pt.Lookup(kDirectMap).has_value());
+  EXPECT_EQ(pt.Lookup(Page(kDirectMap, 2 * kRunPages))->frame, 2 * kRunPages);
+  edited->frame = 2 * kRunPages;
+  expect_same(copy);
+
+  PageTable restored;
+  restored.Map(0xFFFFFFFFA0000000ULL, 5, kRw);
+  const uint64_t generation = restored.generation();
+  restored = copy;
+  EXPECT_GT(restored.generation(), generation);
+  EXPECT_FALSE(restored.Lookup(0xFFFFFFFFA0000000ULL).has_value());
+  expect_same(restored);
+}
+
+TEST(PageTableRadix, A64MbPhysmapCostsUnder64KbOfTable) {
+  PageTable pt;
+  pt.MapRange(kDirectMap, 0, (64ULL << 20) >> kPageShift, kRw);
+  EXPECT_EQ(pt.MappedPageCount(), 16384u);
+  EXPECT_LT(pt.TableBytes(), 64u << 10);
+  // Removing a code synonym splits one 2 MB mapping into one leaf.
+  const uint64_t whole = pt.TableBytes();
+  pt.UnmapRange(Page(kDirectMap, 1), 3);
+  EXPECT_GT(pt.TableBytes(), whole);
+  EXPECT_LT(pt.TableBytes(), whole + (16u << 10));
 }
 
 TEST(PhysMem, FrameAllocatorExhausts) {

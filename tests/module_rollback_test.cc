@@ -135,8 +135,8 @@ TEST(ModuleUnload, ZapsTextAndZeroesXkeys) {
 
   // Physmap synonyms of the reclaimed text frames are readable again.
   for (uint64_t p = 0; p < lm.text_pages; ++p) {
-    const Pte* pte = image.page_table().Lookup(image.PhysmapVaddr(lm.text_first_frame + p));
-    ASSERT_NE(pte, nullptr);
+    const std::optional<Pte> pte = image.page_table().Lookup(image.PhysmapVaddr(lm.text_first_frame + p));
+    ASSERT_TRUE(pte.has_value());
     EXPECT_TRUE(pte->flags.present);
   }
 }

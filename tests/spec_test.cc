@@ -356,8 +356,8 @@ TEST(Spec, WrongPathMatchesArchitecturalValues) {
     ASSERT_EQ(spec.spec_stats().windows_opened, 1u);
     EXPECT_EQ(spec.spec_stats().transient_faults, 0u);
     for (uint64_t i = 0; i < 256; ++i) {
-      const Pte* pte = mk.image->page_table().Lookup(*probe + i * 64);
-      ASSERT_NE(pte, nullptr);
+      const std::optional<Pte> pte = mk.image->page_table().Lookup(*probe + i * 64);
+      ASSERT_TRUE(pte.has_value());
       const uint64_t paddr = (pte->frame << kPageShift) | PageOffset(*probe + i * 64);
       EXPECT_EQ(obs.LineTouched(paddr), i == line) << "probe line " << i << ", value line " << line;
     }

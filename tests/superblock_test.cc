@@ -286,8 +286,8 @@ TEST(SuperblockTlb, PageGenerationInvalidatesStaleTranslations) {
   // Unmap the page the TLB has cached. Map/Unmap bump the generation, so
   // the stale translation must not serve the next load: both engines take
   // the identical page fault.
-  const Pte* pte = image.page_table().Lookup(*buf);
-  ASSERT_NE(pte, nullptr);
+  const std::optional<Pte> pte = image.page_table().Lookup(*buf);
+  ASSERT_TRUE(pte.has_value());
   const Pte saved = *pte;
   image.page_table().Unmap(*buf);
   RunResult u = step_cpu.CallFunction("sb_reader", {*buf}, SingleStep());
