@@ -80,7 +80,7 @@ Result<const TenantFleet::Tenant*> TenantFleet::Admit(const TenantSpec& spec) {
     return kernel.status();
   }
 
-  auto tenant = std::make_unique<Tenant>();
+  auto tenant = std::make_unique<Tenant>(options_.workers_per_tenant);
   tenant->spec = spec;
   tenant->effective_seed = spec.seed != 0 ? spec.seed : options_.base_seed;
   tenant->kernel = std::make_shared<CompiledKernel>(std::move(*kernel));
@@ -102,7 +102,6 @@ Result<const TenantFleet::Tenant*> TenantFleet::Admit(const TenantSpec& spec) {
   }
 
   KernelImage& image = *tenant->kernel->image;
-  tenant->workers.resize(static_cast<size_t>(options_.workers_per_tenant));
   for (Tenant::Worker& worker : tenant->workers) {
     CpuOptions copts;
     copts.mpx_enabled = tenant->kernel->config.mpx;
@@ -141,6 +140,7 @@ Result<WorkloadCounters> TenantFleet::Serve(int tenant_index, int worker) {
 
   WorkloadCounters counters;
   Status status;
+  std::lock_guard<std::mutex> worker_lock(w.mu);
   if (WorkloadIsStateful(tenant->spec.workload)) {
     std::lock_guard<std::mutex> lock(tenant->state_mu);
     status = RunWorkloadOnce(*w.cpu, tenant->spec, w.buffers, run, &counters);

@@ -16,9 +16,11 @@
 // exactly that split, against the naive copy-per-tenant baseline.
 //
 // Concurrency: admit all tenants, then Serve() from any number of threads.
-// Distinct (tenant, worker) pairs run fully in parallel on read-only
-// workloads; stateful workloads (VFS, IPC — guest globals) serialize on a
-// per-tenant mutex, never across tenants.
+// A worker Cpu runs one request at a time: Serve holds the worker's mutex
+// for the whole request, so a second request for a busy worker waits for
+// it. Requests on different workers run in parallel on read-only
+// workloads; stateful workloads (VFS, IPC — guest globals) also serialize
+// on a per-tenant mutex, never across tenants.
 #ifndef KRX_SRC_FLEET_FLEET_H_
 #define KRX_SRC_FLEET_FLEET_H_
 
@@ -64,6 +66,8 @@ class TenantFleet {
   TenantFleet(KernelCache* cache, const FleetOptions& options);
 
   struct Tenant {
+    explicit Tenant(int worker_count) : workers(static_cast<size_t>(worker_count)) {}
+
     int index = 0;  // admit order; the id Serve() takes
     TenantSpec spec;
     uint64_t effective_seed = 0;
@@ -76,6 +80,7 @@ class TenantFleet {
     struct Worker {
       std::unique_ptr<Cpu> cpu;
       WorkloadBuffers buffers;
+      std::mutex mu;  // held by Serve for a whole request on this worker
     };
     std::vector<Worker> workers;
 
@@ -88,7 +93,8 @@ class TenantFleet {
   Result<const Tenant*> Admit(const TenantSpec& spec);
 
   // Runs ONE workload request for tenant `tenant_index` on worker `worker`
-  // (wrapped modulo the worker count). Thread-safe after admissions stop.
+  // (wrapped modulo the worker count), holding that worker's mutex
+  // throughout. Thread-safe after admissions stop.
   Result<WorkloadCounters> Serve(int tenant_index, int worker);
 
   int tenant_count() const;

@@ -13,6 +13,7 @@
 
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -279,6 +280,47 @@ TEST(FleetTest, MemoryReportAccountsDedup) {
   EXPECT_EQ(stats.shared_mode.hits, 2u);
   EXPECT_EQ(stats.shared_mode.requests, 4u);
   EXPECT_EQ(stats.private_mode.compiles, 0u);
+}
+
+// Serve holds a worker for the whole request, so two threads sending
+// requests to one worker Cpu each get exactly the single-threaded answer.
+// Without that lock the requests interleave on the Cpu's registers, block
+// cache and run telemetry.
+TEST(FleetTest, ConcurrentRequestsForOneWorkerMatchASerialRun) {
+  KernelCache cache(FleetSourceFactory(0xF1EE7));
+  FleetOptions options;
+  options.base_seed = 0xF1EE7;
+  options.phys_bytes = 32ULL << 20;
+  TenantFleet fleet(&cache, options);
+  auto tenant = fleet.Admit(LmbenchTenant(0, "sfi+x", 0x51));
+  ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+  auto reference = fleet.Serve(0, 0);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  constexpr int kThreads = 2;
+  constexpr int kRequestsPerThread = 50;
+  std::vector<Result<WorkloadCounters>> results[kThreads];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fleet, &results, t] {
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        results[t].push_back(fleet.Serve(0, 0));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), static_cast<size_t>(kRequestsPerThread));
+    for (size_t i = 0; i < results[t].size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "thread " << t << " request " << i);
+      ASSERT_TRUE(results[t][i].ok()) << results[t][i].status().ToString();
+      EXPECT_EQ(results[t][i]->rax_checksum, reference->rax_checksum);
+      EXPECT_EQ(results[t][i]->instructions, reference->instructions);
+      EXPECT_EQ(results[t][i]->deci_cycles, reference->deci_cycles);
+    }
+  }
 }
 
 // ASan's allocator holds freed blocks back in a quarantine (256MB by

@@ -21,7 +21,8 @@
 # BENCH_chaos.json, BENCH_fleet.json, BENCH_trace.json, BENCH_spec.json and
 # BENCH_attacks_trace.json artifacts.
 # The full (non-quick) run re-verifies under the ASan preset and adds a
-# ThreadSanitizer preset pass over the telemetry-labelled suites.
+# ThreadSanitizer preset pass over the telemetry-, superblock- and
+# fleet-labelled suites.
 #
 # Usage: tools/ci.sh [--quick]
 #   --quick   skip the ASan and TSan presets (default preset stages only)
@@ -149,7 +150,7 @@ if [ "$QUICK" -eq 0 ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j
 
-  echo "==> telemetry + concurrency + superblock labels (tsan preset)"
+  echo "==> telemetry + concurrency + superblock + fleet suites (tsan preset)"
   ctest --preset tsan -j8
 fi
 
