@@ -8,25 +8,9 @@ namespace {
 // Instructions that make a candidate sequence useless as a gadget: traps,
 // privileged operations, or control transfers before the final ret.
 bool Disqualifies(const Instruction& inst) {
-  switch (inst.op) {
-    case Opcode::kInt3:
-    case Opcode::kUd2:
-    case Opcode::kHlt:
-    case Opcode::kSyscall:
-    case Opcode::kSysret:
-    case Opcode::kWrmsr:
-    case Opcode::kLoadBnd0:
-    case Opcode::kJmpRel:
-    case Opcode::kJcc:
-    case Opcode::kJmpR:
-    case Opcode::kJmpM:
-    case Opcode::kCallRel:
-    case Opcode::kCallR:
-    case Opcode::kCallM:
-      return true;
-    default:
-      return false;
-  }
+  const OpcodeInfo& info = OpcodeInfoOf(inst.op);
+  return (info.flow != Flow::kNone && info.flow != Flow::kRet) ||
+         info.Has(OpcodeInfo::kPrivileged);
 }
 
 }  // namespace
@@ -48,8 +32,8 @@ std::string Gadget::ToString() const {
 namespace {
 
 bool IsIndirectBranch(Opcode op) {
-  return op == Opcode::kJmpR || op == Opcode::kJmpM || op == Opcode::kCallR ||
-         op == Opcode::kCallM;
+  const Flow flow = OpcodeInfoOf(op).flow;
+  return flow == Flow::kIndirectJump || flow == Flow::kIndirectCall;
 }
 
 }  // namespace

@@ -4,25 +4,6 @@
 
 namespace krx {
 
-bool EndsBlock(Opcode op) {
-  switch (op) {
-    case Opcode::kJmpRel:
-    case Opcode::kJcc:
-    case Opcode::kJmpR:
-    case Opcode::kJmpM:
-    case Opcode::kCallRel:
-    case Opcode::kCallR:
-    case Opcode::kCallM:
-    case Opcode::kRet:
-    case Opcode::kHlt:
-    case Opcode::kInt3:
-    case Opcode::kUd2:
-      return true;
-    default:
-      return false;
-  }
-}
-
 const DecodedBlock* BlockCache::Lookup(uint64_t rip, uint64_t generation) {
   if (generation != generation_) {
     if (!blocks_.empty()) {

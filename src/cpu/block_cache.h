@@ -81,7 +81,7 @@ class BlockCache {
 
 // True for opcodes that must terminate a predecoded block: control
 // transfers (the next %rip is data-dependent) and trap-like instructions.
-bool EndsBlock(Opcode op);
+inline bool EndsBlock(Opcode op) { return OpcodeInfoOf(op).flow != Flow::kNone; }
 
 }  // namespace krx
 

@@ -331,23 +331,9 @@ namespace {
 // Serializing, privileged and microcoded ops end a speculation window
 // before they execute.
 bool EndsWindow(Opcode op) {
-  switch (op) {
-    case Opcode::kHlt:
-    case Opcode::kInt3:
-    case Opcode::kUd2:
-    case Opcode::kSyscall:
-    case Opcode::kSysret:
-    case Opcode::kWrmsr:
-    case Opcode::kLoadBnd0:
-    case Opcode::kMovsq:
-    case Opcode::kLodsq:
-    case Opcode::kStosq:
-    case Opcode::kCmpsq:
-    case Opcode::kScasq:
-      return true;
-    default:
-      return false;
-  }
+  const OpcodeInfo& info = OpcodeInfoOf(op);
+  return info.flow == Flow::kTrap || info.flow == Flow::kHalt ||
+         info.Has(OpcodeInfo::kPrivileged | OpcodeInfo::kString);
 }
 
 }  // namespace

@@ -231,14 +231,7 @@ CalleeClobberSummary ComputeCalleeClobbers(
     bool unknown = false;
     for (const BasicBlock& b : fn.blocks()) {
       for (const Instruction& inst : b.insts) {
-        Reg written[6];
-        int wcount = 0;
-        InstructionRegWrites(inst, written, &wcount);
-        for (int i = 0; i < wcount; ++i) {
-          if (IsGpReg(written[i])) {
-            node.mask |= uint64_t{1} << RegIndex(written[i]);
-          }
-        }
+        node.mask |= InstructionRegWrites(inst);
         // Control that leaves the function and executes as part of this
         // call's effect: direct calls and symbolic tail jumps contribute
         // the target's summary; indirect transfers could go anywhere.

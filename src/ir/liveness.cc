@@ -69,27 +69,11 @@ bool FlagsLiveness::LiveBefore(int32_t layout_idx, size_t inst_idx) const {
 }
 
 bool InstructionWritesReg(const Instruction& inst, Reg r) {
-  Reg regs[6];
-  int count = 0;
-  InstructionRegWrites(inst, regs, &count);
-  for (int i = 0; i < count; ++i) {
-    if (regs[i] == r) {
-      return true;
-    }
-  }
-  return false;
+  return (InstructionRegWrites(inst) & RegBit(r)) != 0;
 }
 
 bool InstructionReadsReg(const Instruction& inst, Reg r) {
-  Reg regs[6];
-  int count = 0;
-  InstructionRegReads(inst, regs, &count);
-  for (int i = 0; i < count; ++i) {
-    if (regs[i] == r) {
-      return true;
-    }
-  }
-  return false;
+  return (InstructionRegReads(inst) & RegBit(r)) != 0;
 }
 
 }  // namespace krx

@@ -5,97 +5,6 @@
 namespace krx {
 namespace {
 
-// Operand formats. Each opcode maps to exactly one format; the decoder uses
-// the same table, so encode/decode are symmetric by construction.
-enum class Format : uint8_t {
-  kNone,   // [op]
-  kR,      // [op][reg]
-  kRR,     // [op][r1<<4 | r2]
-  kRI64,   // [op][reg][imm64]
-  kRI32,   // [op][reg][imm32]
-  kRM,     // [op][reg][mem]
-  kMI32,   // [op][mem][imm32]
-  kM,      // [op][mem]
-  kRel32,  // [op][rel32]
-  kJcc,    // [op][cond][rel32]
-  kStr,    // [op][rep]
-  kI64,    // [op][imm64]
-};
-
-Format FormatOf(Opcode op) {
-  switch (op) {
-    case Opcode::kNop:
-    case Opcode::kHlt:
-    case Opcode::kInt3:
-    case Opcode::kUd2:
-    case Opcode::kPushfq:
-    case Opcode::kPopfq:
-    case Opcode::kRet:
-    case Opcode::kSyscall:
-    case Opcode::kSysret:
-    case Opcode::kWrmsr:
-    case Opcode::kSpecFence:
-      return Format::kNone;
-    case Opcode::kPushR:
-    case Opcode::kPopR:
-    case Opcode::kJmpR:
-    case Opcode::kCallR:
-      return Format::kR;
-    case Opcode::kMovRR:
-    case Opcode::kAddRR:
-    case Opcode::kSubRR:
-    case Opcode::kAndRR:
-    case Opcode::kOrRR:
-    case Opcode::kXorRR:
-    case Opcode::kImulRR:
-    case Opcode::kCmpRR:
-    case Opcode::kTestRR:
-      return Format::kRR;
-    case Opcode::kMovRI:
-      return Format::kRI64;
-    case Opcode::kAddRI:
-    case Opcode::kSubRI:
-    case Opcode::kAndRI:
-    case Opcode::kOrRI:
-    case Opcode::kXorRI:
-    case Opcode::kShlRI:
-    case Opcode::kShrRI:
-    case Opcode::kCmpRI:
-    case Opcode::kMaskRI:
-      return Format::kRI32;
-    case Opcode::kLoad:
-    case Opcode::kStore:
-    case Opcode::kLea:
-    case Opcode::kAddRM:
-    case Opcode::kCmpRM:
-    case Opcode::kXorMR:
-      return Format::kRM;
-    case Opcode::kStoreImm:
-    case Opcode::kCmpMI:
-      return Format::kMI32;
-    case Opcode::kJmpM:
-    case Opcode::kCallM:
-    case Opcode::kBndcu:
-      return Format::kM;
-    case Opcode::kJmpRel:
-    case Opcode::kCallRel:
-      return Format::kRel32;
-    case Opcode::kJcc:
-      return Format::kJcc;
-    case Opcode::kMovsq:
-    case Opcode::kLodsq:
-    case Opcode::kStosq:
-    case Opcode::kCmpsq:
-    case Opcode::kScasq:
-      return Format::kStr;
-    case Opcode::kLoadBnd0:
-      return Format::kI64;
-    case Opcode::kNumOpcodes:
-      break;
-  }
-  return Format::kNone;
-}
-
 // Memory operand flag byte layout.
 constexpr uint8_t kMemHasBase = 1u << 0;
 constexpr uint8_t kMemHasIndex = 1u << 1;
@@ -254,14 +163,12 @@ Status MemDecodeStatus(MemDecode d) {
 
 void EncodeInstruction(const Instruction& inst, std::vector<uint8_t>& out) {
   KRX_CHECK(inst.target_block < 0 && "unresolved block target at encode time");
-  KRX_CHECK((inst.target_symbol < 0 || FormatOf(inst.op) == Format::kRel32) ||
+  const Format format = OpcodeInfoOf(inst.op).format;
+  KRX_CHECK((inst.target_symbol < 0 || format == Format::kRel32) ||
             !"unresolved symbol target at encode time");
   out.push_back(static_cast<uint8_t>(inst.op));
-  switch (FormatOf(inst.op)) {
+  switch (format) {
     case Format::kNone:
-      if (inst.IsString()) {  // unreachable; strings are kStr
-        break;
-      }
       break;
     case Format::kR:
       out.push_back(RegIndex(inst.r1));
@@ -310,7 +217,7 @@ void EncodeInstruction(const Instruction& inst, std::vector<uint8_t>& out) {
 }
 
 uint8_t EncodedSize(const Instruction& inst) {
-  switch (FormatOf(inst.op)) {
+  switch (OpcodeInfoOf(inst.op).format) {
     case Format::kNone:
       return 1;
     case Format::kR:
@@ -351,7 +258,7 @@ Result<Decoded> DecodeInstruction(const uint8_t* bytes, size_t len, size_t offse
   }
   Decoded d;
   d.inst.op = static_cast<Opcode>(opb);
-  switch (FormatOf(d.inst.op)) {
+  switch (OpcodeInfoOf(d.inst.op).format) {
     case Format::kNone:
       break;
     case Format::kR: {

@@ -4,192 +4,35 @@
 #include <cstdio>
 
 namespace krx {
-namespace {
 
-void Add(Reg out[6], int* count, Reg r) {
-  if (r == Reg::kNone) {
-    return;
+RegMask InstructionRegReads(const Instruction& inst) {
+  const OpcodeInfo& info = OpcodeInfoOf(inst.op);
+  RegMask regs = info.implicit_reads;
+  if (info.Has(OpcodeInfo::kReadsR1)) {
+    regs |= RegBit(inst.r1);
   }
-  for (int i = 0; i < *count; ++i) {
-    if (out[i] == r) {
-      return;
-    }
+  if (info.format == Format::kRR) {
+    regs |= RegBit(inst.r2);
   }
-  out[(*count)++] = r;
+  if (FormatHasMem(info.format)) {
+    regs |= MemRegMask(inst.mem);
+  }
+  if (inst.rep && info.Has(OpcodeInfo::kString)) {
+    regs |= RegBit(Reg::kRcx);
+  }
+  return regs;
 }
 
-void AddMemRegs(Reg out[6], int* count, const MemOperand& mem) {
-  Add(out, count, mem.base);
-  Add(out, count, mem.index);
-}
-
-}  // namespace
-
-void InstructionRegReads(const Instruction& inst, Reg out[6], int* count) {
-  *count = 0;
-  switch (inst.op) {
-    case Opcode::kMovRR:
-      Add(out, count, inst.r2);
-      break;
-    case Opcode::kMovRI:
-      break;
-    case Opcode::kLoad:
-    case Opcode::kLea:
-      AddMemRegs(out, count, inst.mem);
-      break;
-    case Opcode::kStore:
-      Add(out, count, inst.r1);
-      AddMemRegs(out, count, inst.mem);
-      break;
-    case Opcode::kStoreImm:
-    case Opcode::kCmpMI:
-    case Opcode::kBndcu:
-    case Opcode::kJmpM:
-    case Opcode::kCallM:
-      AddMemRegs(out, count, inst.mem);
-      break;
-    case Opcode::kPushR:
-      Add(out, count, inst.r1);
-      Add(out, count, Reg::kRsp);
-      break;
-    case Opcode::kPopR:
-    case Opcode::kPushfq:
-    case Opcode::kPopfq:
-      Add(out, count, Reg::kRsp);
-      break;
-    case Opcode::kAddRR:
-    case Opcode::kSubRR:
-    case Opcode::kAndRR:
-    case Opcode::kOrRR:
-    case Opcode::kXorRR:
-    case Opcode::kImulRR:
-    case Opcode::kCmpRR:
-    case Opcode::kTestRR:
-      Add(out, count, inst.r1);
-      Add(out, count, inst.r2);
-      break;
-    case Opcode::kAddRI:
-    case Opcode::kSubRI:
-    case Opcode::kAndRI:
-    case Opcode::kOrRI:
-    case Opcode::kXorRI:
-    case Opcode::kShlRI:
-    case Opcode::kShrRI:
-    case Opcode::kCmpRI:
-    case Opcode::kMaskRI:
-      Add(out, count, inst.r1);
-      break;
-    case Opcode::kAddRM:
-    case Opcode::kCmpRM:
-      Add(out, count, inst.r1);
-      AddMemRegs(out, count, inst.mem);
-      break;
-    case Opcode::kXorMR:
-      Add(out, count, inst.r1);
-      AddMemRegs(out, count, inst.mem);
-      break;
-    case Opcode::kJmpR:
-    case Opcode::kCallR:
-      Add(out, count, inst.r1);
-      break;
-    case Opcode::kRet:
-      Add(out, count, Reg::kRsp);
-      break;
-    case Opcode::kMovsq:
-      Add(out, count, Reg::kRsi);
-      Add(out, count, Reg::kRdi);
-      break;
-    case Opcode::kLodsq:
-      Add(out, count, Reg::kRsi);
-      break;
-    case Opcode::kStosq:
-      Add(out, count, Reg::kRdi);
-      Add(out, count, Reg::kRax);
-      break;
-    case Opcode::kCmpsq:
-      Add(out, count, Reg::kRsi);
-      Add(out, count, Reg::kRdi);
-      break;
-    case Opcode::kScasq:
-      Add(out, count, Reg::kRdi);
-      Add(out, count, Reg::kRax);
-      break;
-    case Opcode::kWrmsr:
-      Add(out, count, Reg::kRax);
-      Add(out, count, Reg::kRdx);
-      Add(out, count, Reg::kRcx);
-      break;
-    default:
-      break;
+RegMask InstructionRegWrites(const Instruction& inst) {
+  const OpcodeInfo& info = OpcodeInfoOf(inst.op);
+  RegMask regs = info.implicit_writes;
+  if (info.Has(OpcodeInfo::kWritesR1)) {
+    regs |= RegBit(inst.r1);
   }
-  if (inst.rep && inst.IsString()) {
-    Add(out, count, Reg::kRcx);
+  if (inst.rep && info.Has(OpcodeInfo::kString)) {
+    regs |= RegBit(Reg::kRcx);
   }
-}
-
-void InstructionRegWrites(const Instruction& inst, Reg out[6], int* count) {
-  *count = 0;
-  switch (inst.op) {
-    case Opcode::kMovRR:
-    case Opcode::kMovRI:
-    case Opcode::kLoad:
-    case Opcode::kLea:
-    case Opcode::kAddRR:
-    case Opcode::kAddRI:
-    case Opcode::kSubRR:
-    case Opcode::kSubRI:
-    case Opcode::kAndRR:
-    case Opcode::kAndRI:
-    case Opcode::kOrRR:
-    case Opcode::kOrRI:
-    case Opcode::kXorRR:
-    case Opcode::kXorRI:
-    case Opcode::kShlRI:
-    case Opcode::kShrRI:
-    case Opcode::kImulRR:
-    case Opcode::kAddRM:
-    case Opcode::kMaskRI:
-      Add(out, count, inst.r1);
-      break;
-    case Opcode::kPushR:
-    case Opcode::kPushfq:
-    case Opcode::kPopfq:
-    case Opcode::kRet:
-      Add(out, count, Reg::kRsp);
-      break;
-    case Opcode::kPopR:
-      Add(out, count, inst.r1);
-      Add(out, count, Reg::kRsp);
-      break;
-    case Opcode::kCallRel:
-    case Opcode::kCallR:
-    case Opcode::kCallM:
-      Add(out, count, Reg::kRsp);
-      break;
-    case Opcode::kMovsq:
-      Add(out, count, Reg::kRsi);
-      Add(out, count, Reg::kRdi);
-      break;
-    case Opcode::kLodsq:
-      Add(out, count, Reg::kRax);
-      Add(out, count, Reg::kRsi);
-      break;
-    case Opcode::kStosq:
-      Add(out, count, Reg::kRdi);
-      break;
-    case Opcode::kCmpsq:
-      Add(out, count, Reg::kRsi);
-      Add(out, count, Reg::kRdi);
-      break;
-    case Opcode::kScasq:
-      Add(out, count, Reg::kRdi);
-      break;
-    default:
-      break;
-  }
-  if (inst.rep && inst.IsString()) {
-    Add(out, count, Reg::kRcx);
-  }
+  return regs;
 }
 
 std::string FormatMemOperand(const MemOperand& mem) {
@@ -228,110 +71,63 @@ std::string FormatMemOperand(const MemOperand& mem) {
 
 std::string FormatInstruction(const Instruction& inst) {
   char buf[160];
-  const char* name = OpcodeName(inst.op);
-  std::string rep_prefix = inst.rep ? "rep " : "";
-  switch (inst.op) {
-    case Opcode::kNop:
-    case Opcode::kHlt:
-    case Opcode::kInt3:
-    case Opcode::kUd2:
-    case Opcode::kPushfq:
-    case Opcode::kPopfq:
-    case Opcode::kRet:
-    case Opcode::kSyscall:
-    case Opcode::kSysret:
-    case Opcode::kWrmsr:
-    case Opcode::kSpecFence:
-      return std::string(name);
-    case Opcode::kMovRR:
-    case Opcode::kAddRR:
-    case Opcode::kSubRR:
-    case Opcode::kAndRR:
-    case Opcode::kOrRR:
-    case Opcode::kXorRR:
-    case Opcode::kImulRR:
-    case Opcode::kCmpRR:
-    case Opcode::kTestRR:
+  const OpcodeInfo& info = OpcodeInfoOf(inst.op);
+  const char* name = info.mnemonic;
+  switch (info.format) {
+    case Format::kNone:
+      return name;
+    case Format::kR:
+      std::snprintf(buf, sizeof(buf), "%s %%%s", name, RegName(inst.r1));
+      return buf;
+    case Format::kRR:
       std::snprintf(buf, sizeof(buf), "%s %%%s,%%%s", name, RegName(inst.r2), RegName(inst.r1));
       return buf;
-    case Opcode::kMovRI:
-    case Opcode::kAddRI:
-    case Opcode::kSubRI:
-    case Opcode::kAndRI:
-    case Opcode::kOrRI:
-    case Opcode::kXorRI:
-    case Opcode::kShlRI:
-    case Opcode::kShrRI:
-    case Opcode::kCmpRI:
-    case Opcode::kMaskRI:
+    case Format::kRI64:
+    case Format::kRI32:
       std::snprintf(buf, sizeof(buf), "%s $0x%" PRIx64 ",%%%s", name,
                     static_cast<uint64_t>(inst.imm), RegName(inst.r1));
       return buf;
-    case Opcode::kLoad:
-    case Opcode::kAddRM:
-    case Opcode::kCmpRM:
-    case Opcode::kLea:
-      std::snprintf(buf, sizeof(buf), "%s %s,%%%s", name, FormatMemOperand(inst.mem).c_str(),
-                    RegName(inst.r1));
+    case Format::kRM:
+      // AT&T order: the memory operand is the destination of a store.
+      if (info.Has(OpcodeInfo::kWritesMemory)) {
+        std::snprintf(buf, sizeof(buf), "%s %%%s,%s", name, RegName(inst.r1),
+                      FormatMemOperand(inst.mem).c_str());
+      } else {
+        std::snprintf(buf, sizeof(buf), "%s %s,%%%s", name, FormatMemOperand(inst.mem).c_str(),
+                      RegName(inst.r1));
+      }
       return buf;
-    case Opcode::kStore:
-    case Opcode::kXorMR:
-      std::snprintf(buf, sizeof(buf), "%s %%%s,%s", name, RegName(inst.r1),
-                    FormatMemOperand(inst.mem).c_str());
-      return buf;
-    case Opcode::kStoreImm:
-    case Opcode::kCmpMI:
+    case Format::kMI32:
       std::snprintf(buf, sizeof(buf), "%s $0x%" PRIx64 ",%s", name,
                     static_cast<uint64_t>(inst.imm), FormatMemOperand(inst.mem).c_str());
       return buf;
-    case Opcode::kPushR:
-    case Opcode::kPopR:
-    case Opcode::kJmpR:
-    case Opcode::kCallR:
-      std::snprintf(buf, sizeof(buf), "%s %%%s", name, RegName(inst.r1));
+    case Format::kM:
+      // bndcu checks against the implicit %bnd0; the others transfer control.
+      std::snprintf(buf, sizeof(buf), inst.op == Opcode::kBndcu ? "%s %s,%%bnd0" : "%s %s", name,
+                    FormatMemOperand(inst.mem).c_str());
       return buf;
-    case Opcode::kJmpM:
-    case Opcode::kCallM:
-      std::snprintf(buf, sizeof(buf), "%s %s", name, FormatMemOperand(inst.mem).c_str());
-      return buf;
-    case Opcode::kJmpRel:
+    case Format::kRel32:
       if (inst.target_block >= 0) {
-        std::snprintf(buf, sizeof(buf), "jmp .B%d", inst.target_block);
+        std::snprintf(buf, sizeof(buf), "%s .B%d", name, inst.target_block);
       } else if (inst.target_symbol >= 0) {
-        std::snprintf(buf, sizeof(buf), "jmp sym%d", inst.target_symbol);
+        std::snprintf(buf, sizeof(buf), "%s sym%d", name, inst.target_symbol);
       } else {
-        std::snprintf(buf, sizeof(buf), "jmp %+" PRId64, inst.imm);
+        std::snprintf(buf, sizeof(buf), "%s %+" PRId64, name, inst.imm);
       }
       return buf;
-    case Opcode::kJcc:
+    case Format::kJcc:
       if (inst.target_block >= 0) {
-        std::snprintf(buf, sizeof(buf), "j%s .B%d", CondName(inst.cond), inst.target_block);
+        std::snprintf(buf, sizeof(buf), "%s%s .B%d", name, CondName(inst.cond), inst.target_block);
       } else {
-        std::snprintf(buf, sizeof(buf), "j%s %+" PRId64, CondName(inst.cond), inst.imm);
+        std::snprintf(buf, sizeof(buf), "%s%s %+" PRId64, name, CondName(inst.cond), inst.imm);
       }
       return buf;
-    case Opcode::kCallRel:
-      if (inst.target_symbol >= 0) {
-        std::snprintf(buf, sizeof(buf), "callq sym%d", inst.target_symbol);
-      } else {
-        std::snprintf(buf, sizeof(buf), "callq %+" PRId64, inst.imm);
-      }
-      return buf;
-    case Opcode::kMovsq:
-    case Opcode::kLodsq:
-    case Opcode::kStosq:
-    case Opcode::kCmpsq:
-    case Opcode::kScasq:
-      return rep_prefix + name;
-    case Opcode::kBndcu:
-      std::snprintf(buf, sizeof(buf), "bndcu %s,%%bnd0", FormatMemOperand(inst.mem).c_str());
-      return buf;
-    case Opcode::kLoadBnd0:
-      std::snprintf(buf, sizeof(buf), "bndmov $0x%" PRIx64 ",%%bnd0",
+    case Format::kStr:
+      return std::string(inst.rep ? "rep " : "") + name;
+    case Format::kI64:
+      std::snprintf(buf, sizeof(buf), "%s $0x%" PRIx64 ",%%bnd0", name,
                     static_cast<uint64_t>(inst.imm));
       return buf;
-    case Opcode::kNumOpcodes:
-      break;
   }
   return "??";
 }

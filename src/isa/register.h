@@ -46,6 +46,14 @@ inline constexpr uint8_t RegIndex(Reg r) { return static_cast<uint8_t>(r); }
 
 inline constexpr bool IsGpReg(Reg r) { return RegIndex(r) < kNumGpRegs; }
 
+// A set of general-purpose registers: bit RegIndex(r) per member.
+using RegMask = uint16_t;
+
+// Bit RegIndex(r) for a general-purpose register, 0 for Reg::kNone.
+inline constexpr RegMask RegBit(Reg r) {
+  return IsGpReg(r) ? static_cast<RegMask>(1u << RegIndex(r)) : 0;
+}
+
 const char* RegName(Reg r);
 
 }  // namespace krx

@@ -33,7 +33,11 @@ struct ReadSite {
 // redefinition, spill or call.
 using AvailState = std::map<Reg, std::set<ReadSite*>>;
 
-void KillReg(AvailState& state, Reg r) { state.erase(r); }
+// Drops the facts of every register in `regs` from a per-register state.
+template <typename State>
+void KillRegs(State& state, RegMask regs) {
+  std::erase_if(state, [regs](const auto& entry) { return (regs & RegBit(entry.first)) != 0; });
+}
 
 void ApplyInstructionKills(AvailState& state, const Instruction& inst) {
   if (inst.IsCall()) {
@@ -42,18 +46,14 @@ void ApplyInstructionKills(AvailState& state, const Instruction& inst) {
     return;
   }
   // Redefinitions.
-  Reg written[6];
-  int wcount = 0;
-  InstructionRegWrites(inst, written, &wcount);
-  for (int i = 0; i < wcount; ++i) {
-    KillReg(state, written[i]);
-  }
+  RegMask killed = InstructionRegWrites(inst);
   // Spills: the register's value escapes to (attacker-writable) memory.
   // A subsequent fill is a redefinition, but the paper additionally requires
   // no spill between check and use (temporal attacks, §5.1.2 / [24]).
   if (inst.op == Opcode::kStore || inst.op == Opcode::kPushR) {
-    KillReg(state, inst.r1);
+    killed |= RegBit(inst.r1);
   }
+  KillRegs(state, killed);
 }
 
 AvailState MeetPredecessors(const std::vector<AvailState>& exit_states,
@@ -192,15 +192,11 @@ void O4ApplyInst(O4State& state, const Instruction& inst,
       }
     }
   }
-  Reg written[6];
-  int wcount = 0;
-  InstructionRegWrites(inst, written, &wcount);
-  for (int i = 0; i < wcount; ++i) {
-    state.erase(written[i]);
-  }
+  RegMask killed = InstructionRegWrites(inst);
   if (inst.op == Opcode::kStore || inst.op == Opcode::kPushR) {
-    state.erase(inst.r1);
+    killed |= RegBit(inst.r1);
   }
+  KillRegs(state, killed);
   if (!derived.empty()) {
     state[dst] = std::move(derived);
   }
@@ -362,7 +358,7 @@ void O4HoistLoops(Function& fn, std::vector<std::vector<ReadSite>>& sites_by_blo
       }
       // Clobber summary of the whole loop body.
       bool has_call = false;
-      std::set<Reg> clobbered;
+      RegMask clobbered = 0;
       for (int32_t b : loop.body) {
         for (const Instruction& inst : fn.blocks()[static_cast<size_t>(b)].insts) {
           if (inst.IsCall()) {
@@ -371,25 +367,15 @@ void O4HoistLoops(Function& fn, std::vector<std::vector<ReadSite>>& sites_by_blo
             // other call is an analysis horizon and blocks the hoist.
             if (clobbers != nullptr && inst.op == Opcode::kCallRel &&
                 inst.target_symbol >= 0 && clobbers->Known(inst.target_symbol)) {
-              const uint64_t mask = clobbers->MaskOf(inst.target_symbol);
-              for (int r = 0; r < kNumGpRegs; ++r) {
-                if (((mask >> r) & 1) != 0) {
-                  clobbered.insert(static_cast<Reg>(r));
-                }
-              }
+              clobbered |= static_cast<RegMask>(clobbers->MaskOf(inst.target_symbol));
               continue;
             }
             has_call = true;
             break;
           }
-          Reg written[6];
-          int wcount = 0;
-          InstructionRegWrites(inst, written, &wcount);
-          for (int i = 0; i < wcount; ++i) {
-            clobbered.insert(written[i]);
-          }
+          clobbered |= InstructionRegWrites(inst);
           if (inst.op == Opcode::kStore || inst.op == Opcode::kPushR) {
-            clobbered.insert(inst.r1);
+            clobbered |= RegBit(inst.r1);
           }
         }
         if (has_call) {
@@ -404,7 +390,7 @@ void O4HoistLoops(Function& fn, std::vector<std::vector<ReadSite>>& sites_by_blo
       for (int32_t b : loop.body) {
         for (const ReadSite& site : sites_by_block[static_cast<size_t>(b)]) {
           if (!site.coalescible || site.place_after || site.hoist_covered ||
-              clobbered.count(site.base) > 0 || site.disp > kO4CoverCap) {
+              (clobbered & RegBit(site.base)) != 0 || site.disp > kO4CoverCap) {
             continue;
           }
           hoistable.insert(site.base);

@@ -761,12 +761,7 @@ CalleeClobberTable ComputeByteCalleeClobbers(const KernelImage& image,
     fn.targets_begin = targets.size();
     Status st = SweepFunctionBytes(
         image, sym->name, sym->address, sym->size, &bytes, [&](size_t pos, const Decoded& dec) {
-          Reg written[6];
-          int wcount = 0;
-          InstructionRegWrites(dec.inst, written, &wcount);
-          for (int i = 0; i < wcount; ++i) {
-            fn.writes |= RegBit(written[i]);
-          }
+          fn.writes |= InstructionRegWrites(dec.inst);
           const uint64_t target =
               sym->address + pos + dec.size + static_cast<uint64_t>(dec.inst.imm);
           switch (dec.inst.op) {

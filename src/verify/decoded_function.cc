@@ -23,12 +23,7 @@ DecodedInst::DecodedInst(uint64_t address_in, const Decoded& dec)
   reads_memory = inst.ReadsMemory();
   writes_flags = inst.WritesFlags();
   is_call = inst.IsCall();
-  Reg written[6];
-  int wcount = 0;
-  InstructionRegWrites(inst, written, &wcount);
-  for (int i = 0; i < wcount; ++i) {
-    reg_writes |= RegBit(written[i]);
-  }
+  reg_writes = InstructionRegWrites(inst);
   kill_mask = reg_writes;
   if (inst.op == Opcode::kStore || inst.op == Opcode::kPushR) {
     kill_mask |= RegBit(inst.r1);

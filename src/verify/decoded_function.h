@@ -31,16 +31,6 @@
 
 namespace krx {
 
-// Bit RegIndex(r) for a general-purpose register, 0 for Reg::kNone.
-inline constexpr uint16_t RegBit(Reg r) {
-  return IsGpReg(r) ? static_cast<uint16_t>(1u << RegIndex(r)) : 0;
-}
-
-// Registers a memory operand's address is computed from.
-inline constexpr uint16_t MemRegMask(const MemOperand& mem) {
-  return RegBit(mem.base) | RegBit(mem.index);
-}
-
 struct DecodedInst {
   DecodedInst() = default;
   // `dec`, decoded at `address`, with its summaries.
@@ -53,10 +43,10 @@ struct DecodedInst {
   bool reads_memory : 1 = false;
   bool writes_flags : 1 = false;
   bool is_call : 1 = false;
-  uint16_t reg_writes = 0;  // registers written (RegBit mask)
+  RegMask reg_writes = 0;  // registers written
   // Registers whose proven facts die here: every register written, plus the
   // source of a store or push, whose value escapes to writable memory.
-  uint16_t kill_mask = 0;
+  RegMask kill_mask = 0;
   Instruction inst;
 
   // Absolute target of a rel32 branch/call (imm is the displacement from the

@@ -504,8 +504,6 @@ TEST(SfiPassO4, CallInLoopBlocksHoisting) {
 
 // ---- O4 + callee-clobber summaries: call-transparent facts. ----
 
-uint64_t RegBit(Reg r) { return uint64_t{1} << RegIndex(r); }
-
 // Symbol id used for the summarized callee in the IR-level tests below.
 // ApplySfiPass never resolves it — only the summary keys must match.
 constexpr int32_t kLeafSym = 1;
