@@ -8,73 +8,6 @@
 
 namespace krx {
 namespace telemetry {
-namespace {
-
-// Census-side cost of one instruction, from the CostModel's public fields.
-// This intentionally re-derives only the coarse opcode classes (the exact
-// per-operand refinements live in the interpreter): the census feeds a
-// percentage estimate, where class-level costs are what matters.
-uint64_t CensusCost(const Instruction& inst, const CostModel& cost) {
-  switch (inst.op) {
-    case Opcode::kLoad:
-    case Opcode::kAddRM:
-    case Opcode::kCmpRM:
-    case Opcode::kCmpMI:
-      return inst.mem.rip_relative ? cost.load_riprel : cost.load;
-    case Opcode::kStore:
-    case Opcode::kStoreImm:
-      return cost.store;
-    case Opcode::kXorMR:
-      return cost.rmw;
-    case Opcode::kLea:
-      return cost.lea;
-    case Opcode::kImulRR:
-      return cost.imul;
-    case Opcode::kPushR:
-      return cost.push;
-    case Opcode::kPopR:
-      return cost.pop;
-    case Opcode::kPushfq:
-      return cost.pushfq;
-    case Opcode::kPopfq:
-      return cost.popfq;
-    case Opcode::kJcc:
-      return cost.branch;
-    case Opcode::kJmpRel:
-      return cost.jmp;
-    case Opcode::kJmpR:
-    case Opcode::kJmpM:
-    case Opcode::kCallR:
-    case Opcode::kCallM:
-      return cost.indirect;
-    case Opcode::kCallRel:
-      return cost.call;
-    case Opcode::kRet:
-      return cost.ret;
-    case Opcode::kMovsq:
-    case Opcode::kLodsq:
-    case Opcode::kStosq:
-    case Opcode::kCmpsq:
-    case Opcode::kScasq:
-      return cost.string_setup;
-    case Opcode::kBndcu:
-      return cost.bndcu;
-    case Opcode::kLoadBnd0:
-      return cost.bnd_load;
-    case Opcode::kInt3:
-      return cost.int3;
-    case Opcode::kNop:
-    case Opcode::kUd2:
-    case Opcode::kHlt:
-      return cost.nop;
-    case Opcode::kWrmsr:
-      return cost.wrmsr;
-    default:
-      return cost.alu;
-  }
-}
-
-}  // namespace
 
 CheckCensus CensusOf(const FunctionExtent& fn, uint64_t handler_lo, uint64_t handler_hi,
                      const CostModel& cost) {
@@ -141,7 +74,7 @@ CheckCensus CensusOf(const FunctionExtent& fn, uint64_t handler_lo, uint64_t han
       continue;
     }
     const Instruction& inst = d->inst;
-    const uint64_t c = CensusCost(inst, cost);
+    const uint64_t c = cost.CostOf(inst);
     census.total_decicycles += c;
     if (inst.op == Opcode::kBndcu) {
       ++census.mpx_checks;

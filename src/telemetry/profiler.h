@@ -48,7 +48,8 @@ struct CheckCensus {
   uint64_t total_decicycles = 0;  // one execution of every instruction
 };
 
-// Counts check sites in a function body. `handler_lo/hi` bound the
+// Counts check sites in a function body and prices every instruction with
+// `cost.CostOf`, the interpreter's own price. `handler_lo/hi` bound the
 // krx_handler extent ([lo, hi)); zero range disables SFI counting.
 CheckCensus CensusOf(const FunctionExtent& fn, uint64_t handler_lo, uint64_t handler_hi,
                      const CostModel& cost);

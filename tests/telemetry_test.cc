@@ -19,6 +19,7 @@
 #include "src/bench_runner/bench_runner.h"
 #include "src/cpu/cpu.h"
 #include "src/ir/builder.h"
+#include "src/isa/encoding.h"
 #include "src/plugin/pipeline.h"
 #include "src/rerand/engine.h"
 #include "src/telemetry/chrome_trace.h"
@@ -195,6 +196,51 @@ TEST(GuestProfiler, AttributesSpinWorkload) {
   // >= 90% of busy samples must land in the known-hot function.
   EXPECT_GE(static_cast<double>(spin_samples), 0.9 * static_cast<double>(busy))
       << spin_samples << " of " << busy << " busy samples attributed to spin_hot";
+}
+
+// The census prices every instruction with the interpreter's CostModel,
+// including the forms a coarse per-class price gets wrong: hlt and ud2,
+// syscall/sysret (half a mode switch each), lfence, and rip-relative
+// add/cmp/cmpl, which the interpreter charges as full loads.
+TEST(GuestProfiler, CensusPricesWithTheInterpreterCostModel) {
+  constexpr uint64_t kFnAddr = 0x1000;
+  constexpr uint64_t kHandlerLo = 0x2000;
+  constexpr uint64_t kHandlerHi = 0x2040;
+  std::vector<Instruction> insts = {
+      Instruction::Lea(Reg::kR11, MemOperand::Base(Reg::kRdi, 8)),
+      Instruction::CmpRI(Reg::kR11, 0x7fff),
+      Instruction::JccBlock(Cond::kA, -1),  // into the handler; rel32 patched below
+      Instruction::Bndcu(MemOperand::Base(Reg::kRdi, 8)),
+      Instruction::AddRM(Reg::kRax, MemOperand::RipRel(0x40)),
+      Instruction::CmpRM(Reg::kRax, MemOperand::RipRel(0x40)),
+      Instruction::CmpMI(MemOperand::RipRel(0x40), 1),
+      Instruction::SpecFence(),
+      Instruction::Syscall(),
+      Instruction::Sysret(),
+      Instruction::Hlt(),
+      Instruction::Ud2(),
+  };
+  telemetry::FunctionExtent fn;
+  fn.name = "census_forms";
+  fn.addr = kFnAddr;
+  const CostModel cost;
+  uint64_t expected_total = 0;
+  for (Instruction& inst : insts) {
+    if (inst.op == Opcode::kJcc) {
+      const uint64_t next = kFnAddr + fn.bytes.size() + EncodedSize(inst);
+      inst.imm = static_cast<int64_t>(kHandlerLo - next);
+    }
+    EncodeInstruction(inst, fn.bytes);
+    expected_total += cost.CostOf(inst);
+  }
+  fn.size = fn.bytes.size();
+
+  const telemetry::CheckCensus census = telemetry::CensusOf(fn, kHandlerLo, kHandlerHi, cost);
+  EXPECT_EQ(census.total_decicycles, expected_total);
+  EXPECT_EQ(census.sfi_checks, 1u);
+  EXPECT_EQ(census.mpx_checks, 1u);
+  // The check branch is credited with the lea and cmp that feed it.
+  EXPECT_EQ(census.check_decicycles, cost.lea + cost.alu + cost.branch + cost.bndcu);
 }
 
 // One seeded compile + run, observed through the registry twice: the
