@@ -3,7 +3,7 @@
 // A bench run is a matrix of BenchTasks — (workload, protection column)
 // points — executed by a fixed thread pool. Each task runs on its own Cpu
 // (private Mmu, private stack, private block cache) over a compiled kernel
-// acquired from the sharded fleet KernelCache, so identically-configured
+// acquired from the fleet KernelCache, so identically-configured
 // tasks share one immutable image and each ImageKey compiles exactly once
 // per run. Stateful workloads (VFS fd tables, IPC rings) acquire a private
 // build instead — guest globals are not thread-safe.

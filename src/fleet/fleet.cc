@@ -87,7 +87,7 @@ Result<const TenantFleet::Tenant*> TenantFleet::Admit(const TenantSpec& spec) {
 
   // Per-tenant layout diversity: one re-randomization epoch seeded by the
   // tenant. No Cpus are registered yet, so quiescence passes trivially.
-  if (options_.diversify_tenants && tenant->kernel->config.diversify) {
+  if (tenant->kernel->config.diversify) {
     RerandOptions ropts;
     ropts.seed = tenant->effective_seed;
     ropts.permute = true;

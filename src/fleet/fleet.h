@@ -55,10 +55,6 @@ struct FleetOptions {
   // base source defaults to 64MB/tenant — fleets of 16+ tenants usually
   // want this smaller.
   uint64_t phys_bytes = 0;
-  // Run the per-tenant diversification epoch for configs with diversify
-  // set. Off only for A/B experiments (all same-config tenants then share
-  // one layout modulo the KASLR slide).
-  bool diversify_tenants = true;
 };
 
 class TenantFleet {

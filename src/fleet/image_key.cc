@@ -44,16 +44,6 @@ ImageKey ImageKey::FromOptions(const BuildOptions& options) {
   return key;
 }
 
-ImageKey ImageKey::PristineKey() const {
-  ImageKey pristine = *this;
-  pristine.seed = 0;
-  pristine.layout = LayoutKind::kVanilla;
-  pristine.coarse_kaslr = false;
-  pristine.verify = BuildOptions::Verify::kDefault;
-  pristine.max_verify_retries = 0;
-  return pristine;
-}
-
 bool ImageKey::operator==(const ImageKey& other) const {
   return std::tie(sfi, mpx, spec, diversify, coarse_kaslr, ra, randomize_registers,
                   entropy_bits_k, seed, exempt, layout, verify, max_verify_retries) ==

@@ -4,9 +4,9 @@
 // std::string. An ImageKey carries exactly the fields that change the
 // emitted image — every build-relevant ProtectionConfig knob, the layout,
 // the effective diversification seed, and the verify policy — as typed
-// values with operator== and a std::hash specialization, so the sharded
-// compiled-image store (src/fleet/kernel_cache.h) can hash-partition and
-// dedupe on it directly. The serialized string form survives only as
+// values with operator== and a std::hash specialization, so the
+// compiled-image store (src/fleet/kernel_cache.h) can key and dedupe on it
+// directly. The serialized string form survives only as
 // DebugString(), a debug formatter for krx_objdump/stats output.
 #ifndef KRX_SRC_FLEET_IMAGE_KEY_H_
 #define KRX_SRC_FLEET_IMAGE_KEY_H_
@@ -41,14 +41,6 @@ struct ImageKey {
   int max_verify_retries = 0;
 
   static ImageKey FromOptions(const BuildOptions& options);
-
-  // The identity of the *pristine* (pre-relocation, pre-placement) text
-  // blob this key's build would produce, i.e. this key with every field
-  // that only affects linking or build policy — seed, layout, coarse-KASLR
-  // slide, verify policy — canonicalized away. Two tenants whose keys share
-  // a PristineKey differ only in layout/seed and can be served
-  // copy-on-write from one shared blob (src/fleet/fleet.h).
-  ImageKey PristineKey() const;
 
   bool operator==(const ImageKey& other) const;
   bool operator!=(const ImageKey& other) const { return !(*this == other); }

@@ -5,15 +5,6 @@
 #include "src/telemetry/metrics.h"
 
 namespace krx {
-namespace {
-
-size_t RoundUpPow2(int n) {
-  size_t p = 1;
-  while (static_cast<int>(p) < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 const char* SharingName(Sharing sharing) {
   switch (sharing) {
@@ -25,20 +16,13 @@ const char* SharingName(Sharing sharing) {
   return "?";
 }
 
-KernelCache::KernelCache(SourceFactory factory, int shard_count)
-    : factory_(std::move(factory)) {
-  const size_t shards = RoundUpPow2(shard_count > 0 ? shard_count : 16);
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+KernelCache::KernelCache(SourceFactory factory) : factory_(std::move(factory)) {}
 
 Result<std::shared_ptr<CompiledKernel>> KernelCache::Acquire(const BuildOptions& options,
                                                              Sharing sharing) {
   if (sharing == Sharing::kPrivate) {
     {
-      std::lock_guard<std::mutex> lock(stats_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.private_mode.requests;
       ++stats_.private_mode.compiles;
     }
@@ -51,27 +35,20 @@ Result<std::shared_ptr<CompiledKernel>> KernelCache::Acquire(const BuildOptions&
   }
 
   const ImageKey key = ImageKey::FromOptions(options);
-  Shard& shard = *shards_[static_cast<size_t>(ShardIndex(key))];
   std::promise<Built> promise;
   std::shared_future<Built> future;
   bool builder = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      future = it->second;
-    } else {
-      future = promise.get_future().share();
-      shard.entries.emplace(key, future);
-      builder = true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.shared_mode.requests;
-    if (builder) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      future = promise.get_future().share();
+      entries_.emplace(key, future);
+      builder = true;
       ++stats_.shared_mode.compiles;
     } else {
+      future = it->second;
       ++stats_.shared_mode.hits;
       // A not-yet-ready future means the keyed build is still running: this
       // request was deduplicated into it rather than served from cache.
@@ -83,8 +60,8 @@ Result<std::shared_ptr<CompiledKernel>> KernelCache::Acquire(const BuildOptions&
   }
   if (builder) {
     KRX_COUNTER_ADD("kernel_cache.misses", 1);
-    // Compile outside every lock: other keys proceed in parallel, and
-    // same-key requesters block on the future, not a mutex.
+    // Compile outside the lock: other keys proceed in parallel, and
+    // same-key requesters block on the future, not the mutex.
     Built built;
     auto compiled = CompileKernel(factory_(), options);
     if (compiled.ok()) {
@@ -104,7 +81,7 @@ Result<std::shared_ptr<CompiledKernel>> KernelCache::Acquire(const BuildOptions&
 }
 
 KernelCache::Stats KernelCache::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 

@@ -1,12 +1,12 @@
 // The compiled-image store: compile each distinct ImageKey exactly once,
 // even when many worker threads request it concurrently.
 //
-// This is the sharded successor of the old single-mutex bench_runner
-// KernelCache. The store is hash-partitioned over the typed ImageKey
-// (src/fleet/image_key.h): each shard owns its own mutex and map, so a
-// fleet of workers acquiring different keys never serializes on one lock,
-// and a compile holds no lock at all — same-key requesters block on a
-// shared_future of the in-flight build instead.
+// The store is one map from the typed ImageKey (src/fleet/image_key.h) to
+// a shared_future of the build, behind one mutex that also guards the
+// stats. The lock covers only the lookup or insertion of the future and
+// the accounting: a compile holds no lock at all, so builds of different
+// keys run in parallel, and same-key requesters block on the shared_future
+// of the in-flight build instead.
 //
 // The old Get/GetExclusive pair is collapsed into one entry point:
 //
@@ -26,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "src/fleet/image_key.h"
 #include "src/plugin/pipeline.h"
@@ -44,10 +43,9 @@ class KernelCache {
  public:
   // `factory` produces the kernel source tree for every build (called once
   // per distinct shared key, and once per private acquire). It must be
-  // callable from any worker thread. `shard_count` is rounded up to a power
-  // of two; 0 picks the default (16).
+  // callable from any worker thread.
   using SourceFactory = std::function<KernelSource()>;
-  explicit KernelCache(SourceFactory factory, int shard_count = 0);
+  explicit KernelCache(SourceFactory factory);
 
   // The one entry point. Thread-safe.
   Result<std::shared_ptr<CompiledKernel>> Acquire(const BuildOptions& options, Sharing sharing);
@@ -68,25 +66,15 @@ class KernelCache {
   };
   Stats stats() const;
 
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-  // Which shard a key lands on (hash-partitioned). Exposed for tests.
-  int ShardIndex(const ImageKey& key) const {
-    return static_cast<int>(key.Hash() & (shards_.size() - 1));
-  }
-
  private:
   struct Built {
     std::shared_ptr<CompiledKernel> kernel;  // null on failure
     Status status;
   };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<ImageKey, std::shared_future<Built>> entries;
-  };
 
   SourceFactory factory_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::mutex stats_mu_;
+  mutable std::mutex mu_;  // guards entries_ and stats_
+  std::unordered_map<ImageKey, std::shared_future<Built>> entries_;
   Stats stats_;
 };
 

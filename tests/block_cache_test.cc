@@ -274,7 +274,7 @@ TEST(TextGeneration, BumpsOnCodeEventsOnly) {
   EXPECT_GT(image.text_generation(), after_poke);
 }
 
-// The sharded kernel cache underpinning the parallel driver and the fleet:
+// The kernel cache underpinning the parallel driver and the fleet:
 // one compile per typed ImageKey, shared pointers for repeat requests,
 // private builds on demand.
 TEST(KernelCacheTest, CompilesOncePerKey) {

@@ -11,7 +11,6 @@
 //     differently per seed).
 //   - MemoryUsage() must report the dedup split correctly.
 
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +48,7 @@ TenantSpec LmbenchTenant(int id, const std::string& config, uint64_t seed) {
   return spec;
 }
 
-TEST(ImageKeyTest, PristineKeyCanonicalizesLinkOnlyFields) {
+TEST(ImageKeyTest, DifferentSeedsGiveDifferentKeys) {
   ProtectionConfig config;
   LayoutKind layout;
   ASSERT_TRUE(ParseConfigName("sfi+x", 0x111, &config, &layout));
@@ -57,17 +56,8 @@ TEST(ImageKeyTest, PristineKeyCanonicalizesLinkOnlyFields) {
   a.seed = 0x111;
   BuildOptions b = a;
   b.seed = 0x222;
-  // Different tenants (different seeds): different image keys, same
-  // pristine group.
+  // Different tenants (different seeds): different image keys.
   EXPECT_NE(ImageKey::FromOptions(a), ImageKey::FromOptions(b));
-  EXPECT_EQ(ImageKey::FromOptions(a).PristineKey(), ImageKey::FromOptions(b).PristineKey());
-
-  // A different config is a different pristine group.
-  ProtectionConfig other;
-  ASSERT_TRUE(ParseConfigName("x", 0x111, &other, &layout));
-  BuildOptions c{other, layout};
-  c.seed = 0x111;
-  EXPECT_NE(ImageKey::FromOptions(a).PristineKey(), ImageKey::FromOptions(c).PristineKey());
 }
 
 TEST(ImageKeyTest, SpecMitigationIsPartOfTheKey) {
@@ -86,8 +76,6 @@ TEST(ImageKeyTest, SpecMitigationIsPartOfTheKey) {
   EXPECT_NE(ko3, kb);
   EXPECT_NE(ko3, km);
   EXPECT_NE(kb, km);
-  EXPECT_NE(ko3.PristineKey(), kb.PristineKey());
-  EXPECT_NE(kb.PristineKey(), km.PristineKey());
 }
 
 TEST(FleetTest, SameSourceTenantsShareOnePristineBlob) {
@@ -354,28 +342,6 @@ TEST(FleetTest, TenantImagesCostOnlyTouchedMemory) {
   EXPECT_GT(report.resident_bytes, 0u);
   EXPECT_LE(report.resident_bytes, report.image_bytes);
   EXPECT_LT(report.image_bytes, 16 * options.phys_bytes);
-}
-
-TEST(FleetTest, ShardedCacheSpreadsKeys) {
-  KernelCache cache(FleetSourceFactory(0xF1EE7), /*shard_count=*/8);
-  EXPECT_EQ(cache.shard_count(), 8);
-  // Shard assignment is a pure function of the key and in range.
-  std::set<int> shards;
-  for (uint64_t seed = 1; seed <= 32; ++seed) {
-    ProtectionConfig config;
-    LayoutKind layout;
-    ASSERT_TRUE(ParseConfigName("sfi+x", seed, &config, &layout));
-    BuildOptions options{config, layout};
-    options.seed = seed;
-    const int shard = cache.ShardIndex(ImageKey::FromOptions(options));
-    EXPECT_GE(shard, 0);
-    EXPECT_LT(shard, 8);
-    EXPECT_EQ(shard, cache.ShardIndex(ImageKey::FromOptions(options)));
-    shards.insert(shard);
-  }
-  // 32 distinct keys over 8 shards: a hash that lumped them all on one
-  // shard would defeat the sharding entirely.
-  EXPECT_GT(shards.size(), 1u);
 }
 
 }  // namespace
