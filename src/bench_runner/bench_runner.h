@@ -4,8 +4,8 @@
 // points — executed by a fixed thread pool. Each task runs on its own Cpu
 // (private Mmu, private stack, private block cache) over a compiled kernel
 // acquired from the fleet KernelCache, so identically-configured
-// tasks share one immutable image and each ImageKey compiles exactly once
-// per run. Stateful workloads (VFS fd tables, IPC rings) acquire a private
+// tasks share one immutable image and each distinct build compiles exactly
+// once per run. Stateful workloads (VFS fd tables, IPC rings) acquire a private
 // build instead — guest globals are not thread-safe.
 //
 // Per task the driver records guest work (retired instructions,

@@ -18,15 +18,11 @@ ThreadPool::ThreadPool(int threads) {
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] {
       t_worker_index = i;
-#if !defined(KRX_TELEMETRY_DISABLED)
       // Only materialize (and label) this thread's trace ring when tracing
       // is actually on — naming allocates the ring.
       if (telemetry::TraceEnabled()) {
         telemetry::SetThreadName("worker-" + std::to_string(i));
       }
-#else
-      (void)i;
-#endif
       WorkerLoop();
     });
   }

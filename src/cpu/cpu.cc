@@ -496,9 +496,6 @@ RunResult Cpu::Run(const RunOptions& options, bool entered_via_call) {
 }
 
 void Cpu::PublishRunTelemetry(const RunResult& result) {
-#if defined(KRX_TELEMETRY_DISABLED)
-  (void)result;
-#else
   // Per-run speculation deltas (stats are cumulative per Cpu, like the
   // block-cache counters). Computed up front: both the metrics and trace
   // branches consume them.
@@ -589,7 +586,6 @@ void Cpu::PublishRunTelemetry(const RunResult& result) {
     telemetry::EmitEvent(telemetry::TraceEventType::kCheckOutcome, "run_checks",
                          result.mix.bndcu, result.mix.loads);
   }
-#endif
 }
 
 RunResult Cpu::RunInner(const RunOptions& options, bool entered_via_call) {

@@ -149,7 +149,6 @@ Result<const GoldenRun*> FaultInjector::Golden(const std::string& op_symbol) {
 Result<InjectionOutcome> FaultInjector::Inject(FaultClass cls, const std::string& op_symbol,
                                                Rng& rng) {
   Result<InjectionOutcome> outcome = InjectDispatch(cls, op_symbol, rng);
-#if !defined(KRX_TELEMETRY_DISABLED)
   if (telemetry::MetricsEnabled()) {
     telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::Global();
     reg.GetCounter("fault.injections").Increment();
@@ -168,7 +167,6 @@ Result<InjectionOutcome> FaultInjector::Inject(FaultClass cls, const std::string
     telemetry::EmitEvent(telemetry::TraceEventType::kFaultInject, FaultClassName(cls),
                          static_cast<uint64_t>(cls), outcome->trigger_step);
   }
-#endif
   return outcome;
 }
 

@@ -12,38 +12,13 @@ Result<CompiledKernel> MaterializeTenant(const CompiledKernel& base, const Build
   if (base.artifacts == nullptr || base.artifacts->pristine == nullptr) {
     return FailedPreconditionError("MaterializeTenant: base kernel has no link artifacts");
   }
-  const LinkArtifacts& artifacts = *base.artifacts;
-  const uint64_t seed = options.seed != 0 ? options.seed : options.config.seed;
-  Rng rng(seed ^ 0xF1EE7ULL);
-
   CompiledKernel out;
   out.stats = base.stats;  // instrumentation ran once, on the base build
-  out.config = options.config;
+  out.config = options.Resolved().config;
   out.layout = options.layout;
   out.artifacts = base.artifacts;
-  out.rerand = std::make_shared<RerandMap>();
-  out.rerand->pristine = artifacts.pristine;  // alias the shared blob, never copy
-  out.rerand->pending_ptr_sites = artifacts.pending_ptr_sites;
-
-  KernelLinkInput link;
-  link.text = *artifacts.pristine;  // LinkKernel relocates its own working copy
-  link.xkeys = artifacts.xkeys;
-  link.xkey_symbols = artifacts.xkey_symbols;
-  link.data_objects = artifacts.data_objects;
-  link.phantom_guard_size = artifacts.phantom_guard_size;
-  link.phys_bytes = phys_bytes != 0 ? phys_bytes : artifacts.phys_bytes;
-  if (options.config.coarse_kaslr) {
-    link.kaslr_slide = rng.NextBelow(1ULL << 14) << kPageShift;
-  }
-
-  auto image = LinkKernel(options.layout, std::move(link), artifacts.symbols);
-  if (!image.ok()) {
-    return image.status();
-  }
-  out.image = std::move(*image);
-  Rng key_rng = rng.Fork();
-  KRX_RETURN_IF_ERROR(out.image->ReplenishXkeys(key_rng));
-  KRX_RETURN_IF_ERROR(out.rerand->Finalize(*out.image));
+  Rng rng(out.config.seed ^ 0xF1EE7ULL);
+  KRX_RETURN_IF_ERROR(LinkFromArtifacts(&out, phys_bytes, rng));
   KRX_COUNTER_ADD("fleet.cow_materializations", 1);
   return out;
 }
@@ -57,9 +32,9 @@ TenantFleet::TenantFleet(KernelCache* cache, const FleetOptions& options)
 
 Result<const TenantFleet::Tenant*> TenantFleet::Admit(const TenantSpec& spec) {
   // The base build for the tenant's pristine group: same config, canonical
-  // fleet seed. Every same-config tenant resolves to the same ImageKey here,
-  // so the cache compiles the group exactly once and hands back one shared
-  // LinkArtifacts.
+  // fleet seed. Every same-config tenant resolves to the same BuildOptions
+  // here, so the cache compiles the group exactly once and hands back one
+  // shared LinkArtifacts.
   TenantSpec base_spec = spec;
   base_spec.seed = 0;
   auto base_options = base_spec.ResolveBuildOptions(options_.base_seed);
@@ -82,7 +57,7 @@ Result<const TenantFleet::Tenant*> TenantFleet::Admit(const TenantSpec& spec) {
 
   auto tenant = std::make_unique<Tenant>(options_.workers_per_tenant);
   tenant->spec = spec;
-  tenant->effective_seed = spec.seed != 0 ? spec.seed : options_.base_seed;
+  tenant->effective_seed = tenant_options->seed;
   tenant->kernel = std::make_shared<CompiledKernel>(std::move(*kernel));
 
   // Per-tenant layout diversity: one re-randomization epoch seeded by the

@@ -36,12 +36,14 @@
 namespace krx {
 
 // Re-links a private tenant image from base.artifacts without re-running
-// the protect/assemble phases: fresh placement (tenant layout + coarse-KASLR
-// slide), fresh xkeys from the tenant seed, and a fresh RerandMap that
-// ALIASES the base's pristine blob (pointer-identical, never copied).
-// `phys_bytes` overrides the image's physical-memory size; 0 keeps the
-// base's. The result's stats are the base's (instrumentation ran once, on
-// the base build).
+// the protect/assemble phases: CompileKernel's own link tail
+// (LinkFromArtifacts) on a stream seeded from the tenant's effective seed,
+// so placement (tenant layout + coarse-KASLR slide) and xkeys are the
+// tenant's, and the RerandMap ALIASES the base's pristine blob
+// (pointer-identical, never copied). `phys_bytes` overrides the image's
+// physical-memory size; 0 keeps the base's. The result's stats are the
+// base's (instrumentation ran once, on the base build); its config carries
+// the effective seed, as CompileKernel's does.
 Result<CompiledKernel> MaterializeTenant(const CompiledKernel& base, const BuildOptions& options,
                                          uint64_t phys_bytes = 0);
 

@@ -34,7 +34,7 @@ Result<std::shared_ptr<CompiledKernel>> KernelCache::Acquire(const BuildOptions&
     return std::make_shared<CompiledKernel>(std::move(*compiled));
   }
 
-  const ImageKey key = ImageKey::FromOptions(options);
+  const BuildOptions key = options.Resolved();
   std::promise<Built> promise;
   std::shared_future<Built> future;
   bool builder = false;

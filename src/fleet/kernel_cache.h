@@ -1,12 +1,13 @@
-// The compiled-image store: compile each distinct ImageKey exactly once,
-// even when many worker threads request it concurrently.
+// The compiled-image store: compile each distinct build exactly once, even
+// when many worker threads request it concurrently.
 //
-// The store is one map from the typed ImageKey (src/fleet/image_key.h) to
-// a shared_future of the build, behind one mutex that also guards the
-// stats. The lock covers only the lookup or insertion of the future and
-// the accounting: a compile holds no lock at all, so builds of different
-// keys run in parallel, and same-key requesters block on the shared_future
-// of the in-flight build instead.
+// The store is one map from the seed-folded BuildOptions
+// (BuildOptions::Resolved(), compared field by field) to a shared_future of
+// the build, behind one mutex that also guards the stats. The lock covers
+// only the lookup or insertion of the future and the accounting: a compile
+// holds no lock at all, so builds of different keys run in parallel, and
+// same-key requesters block on the shared_future of the in-flight build
+// instead.
 //
 // The old Get/GetExclusive pair is collapsed into one entry point:
 //
@@ -23,11 +24,10 @@
 
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
-#include "src/fleet/image_key.h"
 #include "src/plugin/pipeline.h"
 
 namespace krx {
@@ -74,7 +74,7 @@ class KernelCache {
 
   SourceFactory factory_;
   mutable std::mutex mu_;  // guards entries_ and stats_
-  std::unordered_map<ImageKey, std::shared_future<Built>> entries_;
+  std::map<BuildOptions, std::shared_future<Built>> entries_;
   Stats stats_;
 };
 

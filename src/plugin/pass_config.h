@@ -3,6 +3,7 @@
 #ifndef KRX_SRC_PLUGIN_PASS_CONFIG_H_
 #define KRX_SRC_PLUGIN_PASS_CONFIG_H_
 
+#include <compare>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -111,6 +112,10 @@ struct ProtectionConfig {
   }
 
   bool HasRangeChecks() const { return sfi != SfiLevel::kNone; }
+
+  // Field by field, so a knob added later is compared (and keys the kernel
+  // cache, src/fleet/kernel_cache.h) without further code.
+  auto operator<=>(const ProtectionConfig&) const = default;
 };
 
 }  // namespace krx

@@ -22,15 +22,12 @@ namespace {
 class CompilePhaseScope {
  public:
   explicit CompilePhaseScope(const char* name) : name_(name) {
-#if !defined(KRX_TELEMETRY_DISABLED)
     if (telemetry::Mode() != 0) {
       t0_ = telemetry::TraceNowUs();
       live_ = true;
     }
-#endif
   }
   ~CompilePhaseScope() {
-#if !defined(KRX_TELEMETRY_DISABLED)
     if (!live_) {
       return;
     }
@@ -42,7 +39,6 @@ class CompilePhaseScope {
                         telemetry::LatencyBucketsUs(), /*timing=*/true)
           .Observe(us);
     }
-#endif
   }
   CompilePhaseScope(const CompilePhaseScope&) = delete;
   CompilePhaseScope& operator=(const CompilePhaseScope&) = delete;
@@ -56,9 +52,6 @@ class CompilePhaseScope {
 // Check counts and elision rates of a finished build, published through the
 // registry (krx_objdump --stats and every bench JSON read them from here).
 void PublishCompileMetrics(const PipelineStats& s) {
-#if defined(KRX_TELEMETRY_DISABLED)
-  (void)s;
-#else
   if (!telemetry::MetricsEnabled()) {
     return;
   }
@@ -81,7 +74,6 @@ void PublishCompileMetrics(const PipelineStats& s) {
   reg.GetCounter("compile.sfi.lea_eliminated").Add(s.sfi.lea_eliminated);
   reg.GetCounter("compile.sfi.spec_barriers").Add(s.sfi.spec_barriers);
   reg.GetCounter("compile.sfi.spec_masks").Add(s.sfi.spec_masks);
-#endif
 }
 
 // -1: consult the environment on first use; 0/1: explicit override.
@@ -195,6 +187,15 @@ uint64_t LinkArtifacts::ApproxBytes() const {
   return total;
 }
 
+BuildOptions BuildOptions::Resolved() const {
+  BuildOptions resolved = *this;
+  if (seed != 0) {
+    resolved.config.seed = seed;
+    resolved.seed = 0;
+  }
+  return resolved;
+}
+
 Status ApplyProtection(std::vector<Function>& functions, SymbolTable& symbols,
                        const ProtectionConfig& config, int64_t edata_imm, XkeyLayout* xkeys,
                        PipelineStats* stats, Rng& rng) {
@@ -259,6 +260,41 @@ Status ApplyProtection(std::vector<Function>& functions, SymbolTable& symbols,
   return Status::Ok();
 }
 
+Status LinkFromArtifacts(CompiledKernel* out, uint64_t phys_bytes, Rng& rng) {
+  const LinkArtifacts& artifacts = *out->artifacts;
+  KernelLinkInput link;
+  link.text = *artifacts.pristine;  // LinkKernel relocates its own working copy
+  link.xkeys = artifacts.xkeys;
+  link.xkey_symbols = artifacts.xkey_symbols;
+  link.data_objects = artifacts.data_objects;
+  link.phantom_guard_size = artifacts.phantom_guard_size;
+  link.phys_bytes = phys_bytes != 0 ? phys_bytes : artifacts.phys_bytes;
+  if (out->config.coarse_kaslr) {
+    // Up to 64MB of page-aligned slide, as coarse KASLR provides.
+    link.kaslr_slide = rng.NextBelow(1ULL << 14) << kPageShift;
+  }
+  auto image = [&] {
+    CompilePhaseScope phase("link");
+    return LinkKernel(out->layout, std::move(link), artifacts.symbols);
+  }();
+  if (!image.ok()) {
+    return image.status();
+  }
+  out->image = std::move(*image);
+  if (out->layout == LayoutKind::kKrx) {
+    KRX_CHECK(out->image->krx_edata() ==
+              static_cast<uint64_t>(ComputeEdata(artifacts.phantom_guard_size)));
+  }
+
+  CompilePhaseScope phase("finalize");
+  out->rerand = std::make_shared<RerandMap>();
+  out->rerand->pristine = artifacts.pristine;  // alias the shared blob, never copy
+  out->rerand->pending_ptr_sites = artifacts.pending_ptr_sites;
+  Rng key_rng = rng.Fork();
+  KRX_RETURN_IF_ERROR(out->image->ReplenishXkeys(key_rng));
+  return out->rerand->Finalize(*out->image);
+}
+
 namespace {
 
 // Prefix of the status message a post-link verification failure carries;
@@ -308,76 +344,39 @@ Result<CompiledKernel> CompileKernelAttempt(KernelSource source, const Protectio
       rng.Shuffle(source.functions);
     }
   }
-  const int64_t edata = ComputeEdata(guard);
 
-  Assembler assembler;
-  KernelLinkInput link;
+  TextBlob text;
   {
     CompilePhaseScope phase("assemble");
+    Assembler assembler;
     for (const Function& fn : source.functions) {
-      KRX_RETURN_IF_ERROR(assembler.Assemble(fn, &link.text));
+      KRX_RETURN_IF_ERROR(assembler.Assemble(fn, &text));
     }
   }
-  link.xkeys.assign(xkeys.size_bytes, 0);
-  link.xkey_symbols = xkeys.symbol_offsets;
-  link.data_objects = std::move(source.data_objects);
-  link.phantom_guard_size = guard;
-  link.phys_bytes = source.phys_bytes;
-  if (config.coarse_kaslr) {
-    // Up to 64MB of page-aligned slide, as coarse KASLR provides.
-    link.kaslr_slide = rng.NextBelow(1ULL << 14) << kPageShift;
-  }
 
-  // Live re-randomization metadata and the CoW handoff: LinkKernel relocates
-  // the blob and consumes the data objects, so the pristine bytes, the
-  // pointer-slot descriptors, and the pre-link inputs a tenant
-  // materialization re-links from must all be captured now (resolved against
-  // the linked image below, once addresses exist). The pristine blob is
-  // allocated shared once and aliased by both the RerandMap and the
-  // artifacts — tenants later alias the same object, never copy it.
-  {
-    auto artifacts = std::make_shared<LinkArtifacts>();
-    auto pristine = CapturePristineText(link.text);
-    if (!pristine.ok()) {
-      return pristine.status();
+  // The pre-link inputs, captured once: this build and every tenant
+  // materialized from it (src/fleet) link their own copy of them, and every
+  // RerandMap among them aliases the one pristine blob.
+  auto pristine = CapturePristineText(std::move(text));
+  if (!pristine.ok()) {
+    return pristine.status();
+  }
+  auto artifacts = std::make_shared<LinkArtifacts>();
+  artifacts->pristine = std::move(*pristine);
+  artifacts->xkeys.assign(xkeys.size_bytes, 0);
+  artifacts->xkey_symbols = std::move(xkeys.symbol_offsets);
+  for (const DataObject& obj : source.data_objects) {
+    for (const DataObject::PtrInit& p : obj.pointer_slots) {
+      artifacts->pending_ptr_sites.push_back({obj.name, p.offset, p.symbol, p.addend});
     }
-    artifacts->pristine = std::move(*pristine);
-    artifacts->xkeys = link.xkeys;
-    artifacts->xkey_symbols = link.xkey_symbols;
-    artifacts->data_objects = link.data_objects;
-    artifacts->symbols = source.symbols;
-    artifacts->phantom_guard_size = guard;
-    artifacts->phys_bytes = link.phys_bytes;
-    out.rerand = std::make_shared<RerandMap>();
-    out.rerand->pristine = artifacts->pristine;
-    for (const DataObject& obj : link.data_objects) {
-      for (const DataObject::PtrInit& p : obj.pointer_slots) {
-        out.rerand->pending_ptr_sites.push_back({obj.name, p.offset, p.symbol, p.addend});
-      }
-    }
-    artifacts->pending_ptr_sites = out.rerand->pending_ptr_sites;
-    out.artifacts = std::move(artifacts);
   }
+  artifacts->data_objects = std::move(source.data_objects);
+  artifacts->symbols = std::move(source.symbols);
+  artifacts->phantom_guard_size = guard;
+  artifacts->phys_bytes = source.phys_bytes;
+  out.artifacts = std::move(artifacts);
 
-  auto image = [&] {
-    CompilePhaseScope phase("link");
-    return LinkKernel(layout, std::move(link), std::move(source.symbols));
-  }();
-  if (!image.ok()) {
-    return image.status();
-  }
-  out.image = std::move(*image);
-
-  if (layout == LayoutKind::kKrx) {
-    KRX_CHECK(out.image->krx_edata() == static_cast<uint64_t>(edata));
-  }
-
-  {
-    CompilePhaseScope phase("finalize");
-    Rng key_rng = rng.Fork();
-    KRX_RETURN_IF_ERROR(out.image->ReplenishXkeys(key_rng));
-    KRX_RETURN_IF_ERROR(out.rerand->Finalize(*out.image));
-  }
+  KRX_RETURN_IF_ERROR(LinkFromArtifacts(&out, /*phys_bytes=*/0, rng));
 
   if (g_post_link_mutator) {
     g_post_link_mutator(*out.image, attempt);
@@ -402,10 +401,7 @@ Result<CompiledKernel> CompileKernelAttempt(KernelSource source, const Protectio
 }  // namespace
 
 Result<CompiledKernel> CompileKernel(KernelSource source, const BuildOptions& options) {
-  ProtectionConfig base_config = options.config;
-  if (options.seed != 0) {
-    base_config.seed = options.seed;
-  }
+  const ProtectionConfig base_config = options.Resolved().config;
   const bool verify = options.verify == BuildOptions::Verify::kDefault
                           ? PostLinkVerifyEnabled()
                           : options.verify == BuildOptions::Verify::kOn;
@@ -413,7 +409,7 @@ Result<CompiledKernel> CompileKernel(KernelSource source, const BuildOptions& op
   // verify failure is a bad draw, not a dead end. Only verify failures are
   // transient — pass/link/layout errors surface immediately.
   RetryPolicy policy;
-  policy.max_attempts = options.max_verify_retries + 1;
+  policy.max_attempts = kMaxVerifyRetries + 1;
   policy.retry_if = [](const Status& s) {
     const std::string& message = s.message();
     return message.compare(0, std::string(kVerifyFailurePrefix).size(), kVerifyFailurePrefix) ==

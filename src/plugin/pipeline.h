@@ -57,13 +57,15 @@ struct PipelineStats {
   std::vector<std::pair<std::string, SfiStats>> per_function;
 };
 
-// Everything a copy-on-write tenant materialization (src/fleet) needs to
-// re-link a private image without re-running the expensive protect/assemble
-// phases: the pristine (pre-relocation) text blob plus the pre-link inputs
-// LinkKernel otherwise consumes. Immutable once captured; shared across
-// every tenant of a pristine group — the `pristine` pointer here is the
-// *same object* each tenant's RerandMap aliases, which is what makes the
-// per-tenant cost the relocated image, not a private copy of the blob.
+// A build's pre-link inputs: the pristine (pre-relocation) text blob plus
+// everything else LinkKernel consumes. CompileKernel links its own image
+// from them (LinkFromArtifacts), and a copy-on-write tenant materialization
+// (src/fleet) re-links a private image from the same object without
+// re-running the expensive protect/assemble phases. Immutable once
+// captured; shared across every tenant of a pristine group — the
+// `pristine` pointer here is the *same object* each tenant's RerandMap
+// aliases, which is what makes the per-tenant cost the relocated image,
+// not a private copy of the blob.
 struct LinkArtifacts {
   std::shared_ptr<const PristineText> pristine;
   std::vector<uint8_t> xkeys;  // zero template; each link replenishes keys
@@ -125,17 +127,30 @@ struct BuildOptions {
   // for this build only.
   enum class Verify : uint8_t { kDefault, kOn, kOff };
   Verify verify = Verify::kDefault;
-  // Upper bound on seed-rotated rebuilds after a verify failure.
-  int max_verify_retries = kMaxVerifyRetries;
+
+  // The same build with the seed override folded in: config.seed holds the
+  // effective diversification seed and `seed` is 0. Two options that
+  // resolve equal ask for the same build; KernelCache keys on this.
+  BuildOptions Resolved() const;
+
+  auto operator<=>(const BuildOptions&) const = default;
 };
 
 // Full build: transform, permute, assemble, link, replenish xkeys — then,
 // when post-link verification is enabled, prove the kR^X contract on the
 // linked bytes with the src/verify checker and fail the build on violations.
-// A verify failure is retried up to options.max_verify_retries times with
-// the next diversification seed (bounded, logged to stderr) before the
-// build fails.
+// A verify failure is retried up to kMaxVerifyRetries times with the next
+// diversification seed (bounded, logged to stderr) before the build fails.
 Result<CompiledKernel> CompileKernel(KernelSource source, const BuildOptions& options);
+
+// The link tail every kernel build ends with; CompileKernel and the fleet's
+// MaterializeTenant both call it. Links a copy of out->artifacts' pristine
+// text under out->layout with `phys_bytes` of physical memory (0 keeps the
+// artifacts' size), slid by a coarse-KASLR draw from `rng` when out->config
+// asks for one, fills the xkeys from rng.Fork(), and sets out->image and
+// out->rerand (a map that aliases the pristine blob, finalized against the
+// image). Each caller seeds `rng` itself, so each keeps its own stream.
+Status LinkFromArtifacts(CompiledKernel* out, uint64_t phys_bytes, Rng& rng);
 
 // Test hook: runs on the linked image just before the post-link verifier,
 // with the zero-based build attempt number. Lets the fault tests corrupt

@@ -460,10 +460,7 @@ Status RerandEngine::DoEpoch(RerandTrigger trigger, EpochReport* report) {
   // step, carrying the step's wall time. Clock reads happen only with
   // tracing enabled.
   auto t_step = t_quiesced;
-  (void)t_step;
   auto mark_step = [&](RerandStep step) {
-    (void)step;
-#if !defined(KRX_TELEMETRY_DISABLED)
     if (telemetry::TraceEnabled()) {
       const auto now = std::chrono::steady_clock::now();
       const uint64_t us = static_cast<uint64_t>(
@@ -472,7 +469,6 @@ Status RerandEngine::DoEpoch(RerandTrigger trigger, EpochReport* report) {
       telemetry::EmitEvent(telemetry::TraceEventType::kRerandStep, RerandStepName(step),
                            static_cast<uint64_t>(step), us);
     }
-#endif
   };
   mark_step(RerandStep::kQuiesce);
 

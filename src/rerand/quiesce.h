@@ -103,15 +103,9 @@ class QuiesceGate {
 
  private:
   static uint64_t WaitClockUs() {
-#if defined(KRX_TELEMETRY_DISABLED)
-    return 0;
-#else
     return telemetry::Mode() == 0 ? 0 : telemetry::TraceNowUs();
-#endif
   }
   static void RecordWait(bool writer, uint64_t waited_us) {
-    (void)writer;
-    (void)waited_us;
     if (writer) {
       KRX_COUNTER_ADD("quiesce.writer_waits", 1);
       KRX_HISTO_US("quiesce.writer_wait_us", waited_us);

@@ -80,7 +80,7 @@ struct PristineText : TextBlob {
 // relocation lies inside a function extent (an epoch could not shift it
 // otherwise). Fails on undecodable bytes inside an extent or on an
 // uncovered relocation.
-Result<std::shared_ptr<const PristineText>> CapturePristineText(const TextBlob& blob);
+Result<std::shared_ptr<const PristineText>> CapturePristineText(TextBlob blob);
 
 struct RerandMap {
   // Captured by the pipeline before LinkKernel consumes (and relocates) the

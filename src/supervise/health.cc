@@ -35,13 +35,11 @@ void HealthState::Degrade(HealthAspect aspect, int cpu, HealthLevel to, uint64_t
                           const std::string& reason) {
   transitions_.push_back({aspect, cpu, to, failures, reason});
   KRX_COUNTER_ADD("health.degradations", 1);
-#if !defined(KRX_TELEMETRY_DISABLED)
   if (telemetry::MetricsEnabled()) {
     telemetry::MetricsRegistry::Global()
         .GetCounter(std::string("health.degrade.") + HealthAspectName(aspect))
         .Add(1);
   }
-#endif
   KRX_TRACE_EVENT(kHealthTransition, reason, static_cast<uint64_t>(aspect),
                   static_cast<uint64_t>(to));
 }

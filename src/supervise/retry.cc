@@ -10,14 +10,9 @@ namespace krx {
 namespace {
 
 void BumpRetryCounter(const std::string& name, const char* suffix) {
-#if !defined(KRX_TELEMETRY_DISABLED)
   if (telemetry::MetricsEnabled()) {
     telemetry::MetricsRegistry::Global().GetCounter("retry." + name + suffix).Add(1);
   }
-#else
-  (void)name;
-  (void)suffix;
-#endif
 }
 
 }  // namespace

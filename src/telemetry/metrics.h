@@ -129,14 +129,6 @@ class MetricsRegistry {
 }  // namespace telemetry
 }  // namespace krx
 
-#if defined(KRX_TELEMETRY_DISABLED)
-#define KRX_COUNTER_ADD(name, n) \
-  do {                           \
-  } while (0)
-#define KRX_HISTO_US(name, v) \
-  do {                        \
-  } while (0)
-#else
 // `name` must be a string literal: the resolved metric is cached in a
 // function-local static, so the disabled path is one relaxed load + branch
 // and the enabled path skips the registry lock after first use.
@@ -158,6 +150,5 @@ class MetricsRegistry {
       krx_tele_histo.Observe(v);                                              \
     }                                                                         \
   } while (0)
-#endif
 
 #endif  // KRX_SRC_TELEMETRY_METRICS_H_

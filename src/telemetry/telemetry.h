@@ -4,8 +4,8 @@
 // in metrics.h, the sampling guest profiler in profiler.h, the Chrome-trace
 // exporter in chrome_trace.h). Everything here is observability-only:
 // nothing in the simulator reads telemetry state to make execution
-// decisions, so compiling it out or disabling it at runtime cannot change
-// guest-visible behaviour.
+// decisions, so disabling it at runtime cannot change guest-visible
+// behaviour.
 //
 // Layering: TraceRing is a fixed-capacity ring of fixed-size TraceRecords
 // owned by exactly one writer thread. Wrap-around overwrites oldest-first
@@ -15,13 +15,10 @@
 // Rings are registered globally on first use and outlive their threads, so
 // a post-run export sees every thread that ever traced.
 //
-// Gating contract (DESIGN.md §11):
-//   - Compile time: building with KRX_TELEMETRY_DISABLED turns the
-//     KRX_TRACE_* / KRX_COUNTER_* macros into nothing. The library still
-//     compiles; exporters produce empty documents.
-//   - Runtime: the process-wide mode word gates every call site. With
-//     tracing off, an event call site costs one relaxed atomic load and a
-//     predicted branch; no telemetry call site sits inside the
+// Gating contract (DESIGN.md §11): the process-wide mode word gates every
+// call site; there is no compile-time switch.
+//   - With tracing off, an event call site costs one relaxed atomic load
+//     and a predicted branch; no telemetry call site sits inside the
 //     interpreter's per-instruction path (run/block boundaries only — the
 //     sole per-instruction hook is the profiler's null-checked PC slot,
 //     see src/cpu/cpu.h).
@@ -213,26 +210,15 @@ class SpanScope {
 }  // namespace telemetry
 }  // namespace krx
 
-// Call-site macros. KRX_TELEMETRY_DISABLED stubs them to nothing at
-// compile time; otherwise they compile to the runtime-gated helpers above.
+// Call-site macros: the runtime-gated helpers above.
 #define KRX_TELE_CAT2(a, b) a##b
 #define KRX_TELE_CAT(a, b) KRX_TELE_CAT2(a, b)
 
-#if defined(KRX_TELEMETRY_DISABLED)
-#define KRX_TRACE_SPAN(name) \
-  do {                       \
-  } while (0)
-#define KRX_TRACE_SPAN_SCOPED(name) ((void)0)
-#define KRX_TRACE_EVENT(type, name, arg0, arg1) \
-  do {                                          \
-  } while (0)
-#else
 // Statement form: span covers the rest of the enclosing scope.
 #define KRX_TRACE_SPAN_SCOPED(name) \
   ::krx::telemetry::SpanScope KRX_TELE_CAT(krx_tele_span_, __LINE__)(name)
 #define KRX_TRACE_SPAN(name) KRX_TRACE_SPAN_SCOPED(name)
 #define KRX_TRACE_EVENT(type, name, arg0, arg1) \
   ::krx::telemetry::EmitEvent(::krx::telemetry::TraceEventType::type, (name), (arg0), (arg1))
-#endif
 
 #endif  // KRX_SRC_TELEMETRY_TELEMETRY_H_

@@ -5,26 +5,23 @@
 
 namespace krx {
 
-std::vector<Column> Table1Columns(uint64_t seed) {
-  std::vector<Column> cols;
-  cols.push_back({"SFI(-O0)", ProtectionConfig::SfiOnly(SfiLevel::kO0), LayoutKind::kKrx});
-  cols.push_back({"SFI(-O1)", ProtectionConfig::SfiOnly(SfiLevel::kO1), LayoutKind::kKrx});
-  cols.push_back({"SFI(-O2)", ProtectionConfig::SfiOnly(SfiLevel::kO2), LayoutKind::kKrx});
-  cols.push_back({"SFI(-O3)", ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx});
-  cols.push_back({"MPX", ProtectionConfig::MpxOnly(), LayoutKind::kKrx});
-  cols.push_back({"D", ProtectionConfig::DiversifyOnly(RaScheme::kDecoy, seed), LayoutKind::kKrx});
-  cols.push_back(
-      {"X", ProtectionConfig::DiversifyOnly(RaScheme::kEncrypt, seed), LayoutKind::kKrx});
-  cols.push_back({"SFI+D", ProtectionConfig::Full(false, RaScheme::kDecoy, seed),
-                  LayoutKind::kKrx});
-  cols.push_back({"SFI+X", ProtectionConfig::Full(false, RaScheme::kEncrypt, seed),
-                  LayoutKind::kKrx});
-  cols.push_back({"MPX+D", ProtectionConfig::Full(true, RaScheme::kDecoy, seed),
-                  LayoutKind::kKrx});
-  cols.push_back({"MPX+X", ProtectionConfig::Full(true, RaScheme::kEncrypt, seed),
-                  LayoutKind::kKrx});
-  cols.push_back({"SFI(-O4)", ProtectionConfig::SfiOnly(SfiLevel::kO4), LayoutKind::kKrx});
+std::vector<Column> NamedColumns(std::span<const char* const> names,
+                                 std::span<const char* const> configs, uint64_t seed) {
+  KRX_CHECK(names.size() == configs.size());
+  std::vector<Column> cols(names.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    cols[i].name = names[i];
+    KRX_CHECK(ParseConfigName(configs[i], seed, &cols[i].config, &cols[i].layout));
+  }
   return cols;
+}
+
+std::vector<Column> Table1Columns(uint64_t seed) {
+  static constexpr const char* kConfigs[kNumTable1Columns] = {
+      "sfi-o0", "sfi-o1", "sfi-o2", "sfi-o3", "mpx",   "d",
+      "x",      "sfi+d",  "sfi+x",  "mpx+d",  "mpx+x", "sfi-o4",
+  };
+  return NamedColumns(kTable1ColumnNames, kConfigs, seed);
 }
 
 bool ParseConfigName(const std::string& name, uint64_t seed, ProtectionConfig* config,

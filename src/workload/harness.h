@@ -4,6 +4,7 @@
 #define KRX_SRC_WORKLOAD_HARNESS_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,14 @@ struct Column {
   LayoutKind layout = LayoutKind::kKrx;
 };
 
-// The 11 protection columns of Tables 1 and 2, in kTable1ColumnNames order.
+// Columns displayed as `names[i]`, each built as ParseConfigName(configs[i],
+// seed) resolves it. The two lists are parallel; an unknown config name is
+// a program bug and aborts.
+std::vector<Column> NamedColumns(std::span<const char* const> names,
+                                 std::span<const char* const> configs, uint64_t seed);
+
+// The 11 protection columns of Table 1 plus SFI(-O4), in kTable1ColumnNames
+// order.
 std::vector<Column> Table1Columns(uint64_t seed);
 
 // CLI-style config names shared by krx_objdump and krx_verify:

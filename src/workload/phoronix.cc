@@ -102,14 +102,10 @@ Result<Table2Matrix> RunTable2(uint64_t seed) {
     return vanilla.status();
   }
 
-  std::vector<Column> columns = {
-      {"SFI", ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx},
-      {"MPX", ProtectionConfig::MpxOnly(), LayoutKind::kKrx},
-      {"SFI+D", ProtectionConfig::Full(false, RaScheme::kDecoy, seed), LayoutKind::kKrx},
-      {"SFI+X", ProtectionConfig::Full(false, RaScheme::kEncrypt, seed), LayoutKind::kKrx},
-      {"MPX+D", ProtectionConfig::Full(true, RaScheme::kDecoy, seed), LayoutKind::kKrx},
-      {"MPX+X", ProtectionConfig::Full(true, RaScheme::kEncrypt, seed), LayoutKind::kKrx},
+  static constexpr const char* kConfigs[kNumTable2Columns] = {
+      "sfi-o3", "mpx", "sfi+d", "sfi+x", "mpx+d", "mpx+x",
   };
+  const std::vector<Column> columns = NamedColumns(kTable2ColumnNames, kConfigs, seed);
 
   Table2Matrix matrix;
   for (const PhoronixRow& row : rows) {

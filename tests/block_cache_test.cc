@@ -7,8 +7,6 @@
 // load/unload, guest self-modification through physmap synonyms).
 #include <gtest/gtest.h>
 
-#include "src/fleet/image_key.h"
-#include "src/fleet/kernel_cache.h"
 #include "src/cpu/cpu.h"
 #include "src/ir/builder.h"
 #include "src/plugin/pipeline.h"
@@ -272,39 +270,6 @@ TEST(TextGeneration, BumpsOnCodeEventsOnly) {
   const uint64_t after_poke = image.text_generation();
   ASSERT_TRUE(image.MapUserPages(0x400000, 1).ok());
   EXPECT_GT(image.text_generation(), after_poke);
-}
-
-// The kernel cache underpinning the parallel driver and the fleet:
-// one compile per typed ImageKey, shared pointers for repeat requests,
-// private builds on demand.
-TEST(KernelCacheTest, CompilesOncePerKey) {
-  KernelCache cache([] { return MakeBaseSource(); });
-  const BuildOptions sfi{ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx};
-  const BuildOptions mpx{ProtectionConfig::MpxOnly(), LayoutKind::kKrx};
-  EXPECT_NE(ImageKey::FromOptions(sfi), ImageKey::FromOptions(mpx));
-
-  auto a = cache.Acquire(sfi, Sharing::kShared);
-  auto b = cache.Acquire(sfi, Sharing::kShared);
-  auto c = cache.Acquire(mpx, Sharing::kShared);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  EXPECT_EQ(a->get(), b->get()) << "same key must share one kernel";
-  EXPECT_NE(a->get(), c->get());
-  EXPECT_EQ(cache.stats().shared_mode.compiles, 2u);
-  EXPECT_EQ(cache.stats().shared_mode.hits, 1u);
-
-  auto priv = cache.Acquire(sfi, Sharing::kPrivate);
-  ASSERT_TRUE(priv.ok());
-  EXPECT_NE(priv->get(), a->get()) << "private builds are never shared";
-  EXPECT_EQ(cache.stats().private_mode.compiles, 1u);
-
-  // Seed changes the key (diversified columns must not collide); the debug
-  // formatter is the only surviving string form and must track the key.
-  BuildOptions reseeded = sfi;
-  reseeded.seed = 0x1234;
-  EXPECT_NE(ImageKey::FromOptions(sfi), ImageKey::FromOptions(reseeded));
-  EXPECT_NE(ImageKey::FromOptions(sfi).Hash(), ImageKey::FromOptions(reseeded).Hash());
-  EXPECT_NE(ImageKey::FromOptions(sfi).DebugString(),
-            ImageKey::FromOptions(reseeded).DebugString());
 }
 
 }  // namespace

@@ -10,7 +10,13 @@
 //     options (instruction counts legitimately differ: diversification pads
 //     differently per seed).
 //   - MemoryUsage() must report the dedup split correctly.
+//   - The kernel cache compiles each distinct build once, keyed on every
+//     field of the seed-folded BuildOptions, also under concurrent requests.
+//   - A tenant materialized with its base's own options is the base image:
+//     both builders end in one link tail.
 
+#include <functional>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,10 +24,10 @@
 #include <gtest/gtest.h>
 
 #include "src/fleet/fleet.h"
-#include "src/fleet/image_key.h"
 #include "src/fleet/kernel_cache.h"
 #include "src/fleet/tenant.h"
 #include "src/verify/decoded_function.h"
+#include "src/workload/corpus.h"
 #include "src/workload/harness.h"
 #include "src/workload/ipc.h"
 #include "src/workload/vfs.h"
@@ -48,34 +54,168 @@ TenantSpec LmbenchTenant(int id, const std::string& config, uint64_t seed) {
   return spec;
 }
 
-TEST(ImageKeyTest, DifferentSeedsGiveDifferentKeys) {
-  ProtectionConfig config;
-  LayoutKind layout;
-  ASSERT_TRUE(ParseConfigName("sfi+x", 0x111, &config, &layout));
-  BuildOptions a{config, layout};
-  a.seed = 0x111;
-  BuildOptions b = a;
-  b.seed = 0x222;
-  // Different tenants (different seeds): different image keys.
-  EXPECT_NE(ImageKey::FromOptions(a), ImageKey::FromOptions(b));
+// The kernel cache underpinning the parallel driver and the fleet: one
+// compile per distinct build, shared pointers for repeat requests, private
+// builds on demand.
+TEST(KernelCacheTest, CompilesOncePerKey) {
+  KernelCache cache([] { return MakeBaseSource(); });
+  const BuildOptions sfi{ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx};
+  const BuildOptions mpx{ProtectionConfig::MpxOnly(), LayoutKind::kKrx};
+
+  auto a = cache.Acquire(sfi, Sharing::kShared);
+  auto b = cache.Acquire(sfi, Sharing::kShared);
+  auto c = cache.Acquire(mpx, Sharing::kShared);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  EXPECT_EQ(a->get(), b->get()) << "same key must share one kernel";
+  EXPECT_NE(a->get(), c->get());
+  EXPECT_EQ(cache.stats().shared_mode.compiles, 2u);
+  EXPECT_EQ(cache.stats().shared_mode.hits, 1u);
+
+  auto priv = cache.Acquire(sfi, Sharing::kPrivate);
+  ASSERT_TRUE(priv.ok());
+  EXPECT_NE(priv->get(), a->get()) << "private builds are never shared";
+  EXPECT_EQ(cache.stats().private_mode.compiles, 1u);
 }
 
-TEST(ImageKeyTest, SpecMitigationIsPartOfTheKey) {
-  // spec-barrier/spec-mask emit different bytes than plain sfi-o3; the
-  // cache must never serve one when asked for another.
-  ProtectionConfig o3;
-  ProtectionConfig barrier;
-  ProtectionConfig mask;
-  LayoutKind layout;
-  ASSERT_TRUE(ParseConfigName("sfi-o3", 0x111, &o3, &layout));
-  ASSERT_TRUE(ParseConfigName("spec-barrier", 0x111, &barrier, &layout));
-  ASSERT_TRUE(ParseConfigName("spec-mask", 0x111, &mask, &layout));
-  const ImageKey ko3 = ImageKey::FromOptions({o3, layout});
-  const ImageKey kb = ImageKey::FromOptions({barrier, layout});
-  const ImageKey km = ImageKey::FromOptions({mask, layout});
-  EXPECT_NE(ko3, kb);
-  EXPECT_NE(ko3, km);
-  EXPECT_NE(kb, km);
+// The seed override and the config's own seed are one knob: asking for the
+// same effective seed either way is the same build.
+TEST(KernelCacheTest, SeedOverrideAndConfigSeedAreOneBuild) {
+  KernelCache cache([] { return MakeBaseSource(); });
+  BuildOptions by_override{ProtectionConfig::DiversifyOnly(RaScheme::kEncrypt, 0x111),
+                           LayoutKind::kKrx};
+  by_override.seed = 0x1234;
+  BuildOptions by_config = by_override;
+  by_config.seed = 0;
+  by_config.config.seed = 0x1234;
+
+  auto a = cache.Acquire(by_override, Sharing::kShared);
+  auto b = cache.Acquire(by_config, Sharing::kShared);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->get(), b->get());
+  EXPECT_EQ((*a)->config.seed, 0x1234u);
+  EXPECT_EQ(cache.stats().shared_mode.compiles, 1u);
+  EXPECT_EQ(cache.stats().shared_mode.hits, 1u);
+}
+
+// Every field of ProtectionConfig and BuildOptions is part of the key:
+// changing any one of them asks for a separate compile, and the original
+// stays cached.
+TEST(KernelCacheTest, EveryFieldIsPartOfTheKey) {
+  KernelCache cache([] { return MakeBaseSource(); });
+  const BuildOptions base{ProtectionConfig::Full(false, RaScheme::kEncrypt, 0x111),
+                          LayoutKind::kKrx};
+  const struct {
+    const char* field;
+    std::function<void(BuildOptions&)> change;
+  } kVariants[] = {
+      {"config.sfi", [](BuildOptions& o) { o.config.sfi = SfiLevel::kO4; }},
+      {"config.mpx", [](BuildOptions& o) { o.config.mpx = true; }},
+      {"config.diversify", [](BuildOptions& o) { o.config.diversify = false; }},
+      {"config.coarse_kaslr", [](BuildOptions& o) { o.config.coarse_kaslr = true; }},
+      {"config.ra", [](BuildOptions& o) { o.config.ra = RaScheme::kDecoy; }},
+      {"config.randomize_registers",
+       [](BuildOptions& o) { o.config.randomize_registers = true; }},
+      {"config.spec.barrier", [](BuildOptions& o) { o.config.spec = SpecMitigation::kBarrier; }},
+      {"config.spec.mask", [](BuildOptions& o) { o.config.spec = SpecMitigation::kMask; }},
+      {"config.entropy_bits_k", [](BuildOptions& o) { o.config.entropy_bits_k = 20; }},
+      {"config.seed", [](BuildOptions& o) { o.config.seed = 0x222; }},
+      {"config.exempt_functions",
+       [](BuildOptions& o) { o.config.exempt_functions.insert("commit_creds"); }},
+      {"layout", [](BuildOptions& o) { o.layout = LayoutKind::kVanilla; }},
+      {"seed", [](BuildOptions& o) { o.seed = 0x333; }},
+      {"verify", [](BuildOptions& o) { o.verify = BuildOptions::Verify::kOff; }},
+  };
+  ASSERT_TRUE(cache.Acquire(base, Sharing::kShared).ok());
+  uint64_t compiles = 1;
+  for (const auto& variant : kVariants) {
+    SCOPED_TRACE(variant.field);
+    BuildOptions changed = base;
+    variant.change(changed);
+    // A variant may be an invalid build (vanilla layout under range
+    // checks); it is still a build of its own, never the cached one.
+    (void)cache.Acquire(changed, Sharing::kShared);
+    EXPECT_EQ(cache.stats().shared_mode.compiles, ++compiles);
+    EXPECT_EQ(cache.stats().shared_mode.hits, 0u);
+  }
+  ASSERT_TRUE(cache.Acquire(base, Sharing::kShared).ok());
+  EXPECT_EQ(cache.stats().shared_mode.compiles, compiles);
+  EXPECT_EQ(cache.stats().shared_mode.hits, 1u);
+}
+
+// Four threads asking for one key at the same moment get one compile and
+// one kernel: the shared_future dedups the requests that arrive while the
+// build runs.
+TEST(KernelCacheTest, ConcurrentAcquiresOfOneKeyCompileOnce) {
+  KernelCache cache([] { return MakeBaseSource(); });
+  const BuildOptions options{ProtectionConfig::SfiOnly(SfiLevel::kO3), LayoutKind::kKrx};
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<Result<std::shared_ptr<CompiledKernel>>> results(
+      kThreads, InternalError("not acquired"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      results[static_cast<size_t>(t)] = cache.Acquire(options, Sharing::kShared);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->get(), results[0]->get());
+  }
+  const KernelCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.shared_mode.requests, 4u);
+  EXPECT_EQ(stats.shared_mode.compiles, 1u);
+  EXPECT_EQ(stats.shared_mode.hits, 3u);
+}
+
+// CompileKernel and MaterializeTenant end in the same link tail: a tenant
+// materialized with its base's own options is the base image, byte for byte
+// and address for address, except for the xkeys each draws from its own
+// stream. It also records the same effective seed.
+TEST(FleetTest, TenantOfBaseOptionsMatchesCompileKernel) {
+  for (const char* name : {"vanilla", "sfi-o3", "x", "sfi+x", "mpx+d", "spec-mask"}) {
+    SCOPED_TRACE(name);
+    BuildOptions options;
+    ASSERT_TRUE(ParseConfigName(name, 0x1234, &options.config, &options.layout));
+    options.seed = 0x1234;
+    auto base = CompileKernel(MakeBenchSource(0x5173), options);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    auto tenant = MaterializeTenant(*base, options);
+    ASSERT_TRUE(tenant.ok()) << tenant.status().ToString();
+    EXPECT_EQ(base->config.seed, 0x1234u);
+    EXPECT_EQ(tenant->config.seed, base->config.seed);
+
+    const KernelImage& a = *base->image;
+    const KernelImage& b = *tenant->image;
+    ASSERT_EQ(a.sections().size(), b.sections().size());
+    for (size_t i = 0; i < a.sections().size(); ++i) {
+      const PlacedSection& sa = a.sections()[i];
+      const PlacedSection& sb = b.sections()[i];
+      SCOPED_TRACE(sa.name);
+      ASSERT_EQ(sa.name, sb.name);
+      EXPECT_EQ(sa.vaddr, sb.vaddr);
+      ASSERT_EQ(sa.size, sb.size);
+      if (sa.name == ".krx_xkeys") {
+        continue;
+      }
+      std::vector<uint8_t> bytes_a(sa.size);
+      std::vector<uint8_t> bytes_b(sb.size);
+      ASSERT_TRUE(a.PeekBytes(sa.vaddr, bytes_a.data(), bytes_a.size()).ok());
+      ASSERT_TRUE(b.PeekBytes(sb.vaddr, bytes_b.data(), bytes_b.size()).ok());
+      EXPECT_TRUE(bytes_a == bytes_b);
+    }
+    ASSERT_EQ(a.symbols().size(), b.symbols().size());
+    for (size_t i = 0; i < a.symbols().size(); ++i) {
+      const Symbol& sym_a = a.symbols().at(static_cast<int32_t>(i));
+      const Symbol& sym_b = b.symbols().at(static_cast<int32_t>(i));
+      EXPECT_EQ(sym_a.name, sym_b.name);
+      EXPECT_EQ(sym_a.address, sym_b.address) << sym_a.name;
+    }
+  }
 }
 
 TEST(FleetTest, SameSourceTenantsShareOnePristineBlob) {

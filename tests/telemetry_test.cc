@@ -79,9 +79,6 @@ TEST(TraceRing, PartiallyFilledSnapshotInOrder) {
 // thread owns its ring, so this must be free of data races (the ASan/TSan
 // value of this test) and lose nothing below ring capacity.
 TEST(TraceRing, ConcurrentEmissionIsPerThreadAndLossless) {
-#if defined(KRX_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "emission macros compiled out (KRX_TELEMETRY=OFF)";
-#endif
   ModeGuard guard;
   telemetry::SetMode(telemetry::kModeMetrics | telemetry::kModeTrace);
   telemetry::ClearAllRings();
@@ -246,9 +243,6 @@ TEST(GuestProfiler, CensusPricesWithTheInterpreterCostModel) {
 // One seeded compile + run, observed through the registry twice: the
 // deterministic (non-timing) snapshot must be byte-identical.
 TEST(Metrics, DeterministicSnapshotForFixedSeed) {
-#if defined(KRX_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "instrumentation compiled out (KRX_TELEMETRY=OFF)";
-#endif
   ModeGuard guard;
   telemetry::SetMode(telemetry::kModeMetrics);
   auto pass = [] {
@@ -281,11 +275,7 @@ TEST(Metrics, DisabledModeEmitsNothing) {
   telemetry::SetMode(telemetry::kModeMetrics);
   KRX_COUNTER_ADD("test.enabled_counter", 7);
   const std::string snap = telemetry::MetricsRegistry::Global().SnapshotJson();
-#if defined(KRX_TELEMETRY_DISABLED)
-  EXPECT_EQ(snap.find("test.enabled_counter"), std::string::npos);
-#else
   EXPECT_NE(snap.find("\"test.enabled_counter\": 7"), std::string::npos);
-#endif
   EXPECT_EQ(snap.find("\"test.disabled_counter\": 7"), std::string::npos);
 }
 
@@ -294,9 +284,6 @@ TEST(Metrics, DisabledModeEmitsNothing) {
 // nesting: compile and cpu.run spans inside a bench task span, and the
 // rerand.epoch span with its step instants.
 TEST(ChromeTrace, ExportParsesAndNestsSpans) {
-#if defined(KRX_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "instrumentation compiled out (KRX_TELEMETRY=OFF)";
-#endif
   ModeGuard guard;
   telemetry::SetMode(telemetry::kModeMetrics | telemetry::kModeTrace);
   telemetry::ClearAllRings();

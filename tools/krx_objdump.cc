@@ -29,7 +29,6 @@
 #include "src/attack/gadget_scanner.h"
 #include "src/cpu/cpu.h"
 #include "src/cpu/superblock/sb_report.h"
-#include "src/fleet/image_key.h"
 #include "src/isa/encoding.h"
 #include "src/rerand/engine.h"
 #include "src/telemetry/metrics.h"
@@ -154,9 +153,20 @@ int DumpStats(const std::string& config_name) {
     std::fprintf(stderr, "build failed: %s\n", kernel.status().ToString().c_str());
     return 1;
   }
-  // The image's typed identity, in the legacy serialized form (kept only as
-  // this debug formatter — nothing keys on the string anymore).
-  std::printf("image_key: %s\n", ImageKey::FromOptions(options).DebugString().c_str());
+  // The build's identity: the options with the seed override folded in,
+  // exactly what the kernel cache keys on.
+  const BuildOptions resolved = options.Resolved();
+  const ProtectionConfig& c = resolved.config;
+  std::string exempt;
+  for (const std::string& fn : c.exempt_functions) {
+    exempt += fn + ',';
+  }
+  std::printf("options: sfi=%d mpx=%d spec=%d diversify=%d coarse_kaslr=%d ra=%d regrand=%d "
+              "k=%d seed=0x%" PRIx64 " layout=%d verify=%d exempt=%s\n",
+              static_cast<int>(c.sfi), c.mpx, static_cast<int>(c.spec), c.diversify,
+              c.coarse_kaslr, static_cast<int>(c.ra), c.randomize_registers, c.entropy_bits_k,
+              c.seed, static_cast<int>(resolved.layout), static_cast<int>(resolved.verify),
+              exempt.c_str());
   std::printf("%s\n", telemetry::MetricsRegistry::Global().SnapshotJson().c_str());
 
   // Runtime view: the lmbench op set through the translate-and-chain
