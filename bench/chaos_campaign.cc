@@ -191,11 +191,7 @@ int Run(const ChaosOptions& opts) {
   engine.set_retry_policy(epoch_policy);
 
   HealthState health;
-  Watchdog::Options wd_options;
-  wd_options.tick = std::chrono::milliseconds(5);
-  wd_options.soft_ticks = 2;
-  wd_options.hard_ticks = 4;
-  Watchdog watchdog(wd_options);
+  Watchdog watchdog;
 
   std::vector<std::unique_ptr<Cpu>> cpus;
   std::vector<std::atomic<uint64_t>*> heartbeats;

@@ -17,18 +17,6 @@ CpuOptions SpecCpuOptions(bool mpx) {
   return o;
 }
 
-// Data-view physical address of `vaddr` — what a wrong-path access of it
-// lands on, and therefore what the observer records.
-bool PhysOf(const KernelImage& image, uint64_t vaddr, uint64_t* paddr) {
-  const std::optional<Pte> pte = image.page_table().Lookup(vaddr);
-  if (!pte || !pte->flags.present) {
-    return false;
-  }
-  const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;
-  *paddr = (frame << kPageShift) | PageOffset(vaddr);
-  return true;
-}
-
 }  // namespace
 
 SpectreV1Result SpectreV1Attack(CompiledKernel& kernel, size_t secret_bytes) {
@@ -84,13 +72,10 @@ SpectreV1Result SpectreV1Attack(CompiledKernel& kernel, size_t secret_bytes) {
     int hit = -1;
     bool ambiguous = false;
     for (int v = 0; v < 256; ++v) {
-      uint64_t paddr;
-      if (!PhysOf(image, *probe + (static_cast<uint64_t>(v)
-                                   << SideChannelObserver::kLineShift),
-                  &paddr)) {
-        continue;
-      }
-      if (observer.LineTouched(paddr)) {
+      // The line a wrong-path load of probe entry v lands on.
+      const Translation t = cpu.mmu().Walk(
+          *probe + (static_cast<uint64_t>(v) << SideChannelObserver::kLineShift), Access::kRead);
+      if (t.ok() && observer.LineTouched(t.paddr)) {
         ambiguous = hit >= 0;
         hit = v;
       }

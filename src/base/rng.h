@@ -8,16 +8,12 @@
 // Thread-safety contract: Rng is thread-COMPATIBLE, not thread-safe. Every
 // draw mutates the four state words with no synchronization, so concurrent
 // use of one Rng is a data race (torn state, repeated or corrupted outputs).
-// The safe patterns are:
-//   - one Rng per thread, derived up front via Fork() (what the pipeline
-//     and the bench driver do), or
-//   - a LockedRng (below) when a single stream genuinely must be shared,
-//     e.g. the re-randomization epoch thread drawing entropy while Cpus run.
+// The safe pattern is one Rng per thread, derived up front via Fork() (what
+// the pipeline and the bench driver do).
 #ifndef KRX_SRC_BASE_RNG_H_
 #define KRX_SRC_BASE_RNG_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "src/base/status.h"
@@ -62,39 +58,6 @@ class Rng {
 
  private:
   uint64_t state_[4];
-};
-
-// Mutex-wrapped Rng for streams that must be shared across threads. Each
-// call atomically consumes exactly one (or, for Fork, one seeding) draw
-// from the underlying sequence, so the *multiset* of values handed out is
-// deterministic for a given seed and draw count even though the
-// interleaving across threads is not.
-class LockedRng {
- public:
-  explicit LockedRng(uint64_t seed) : rng_(seed) {}
-
-  uint64_t Next() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rng_.Next();
-  }
-  uint64_t NextBelow(uint64_t bound) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rng_.NextBelow(bound);
-  }
-  bool NextBool(double p = 0.5) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rng_.NextBool(p);
-  }
-  // Hands out an independent unsynchronized child stream — the cheap way
-  // for a thread to leave the lock behind after a single synchronized draw.
-  Rng Fork() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rng_.Fork();
-  }
-
- private:
-  std::mutex mu_;
-  Rng rng_;
 };
 
 }  // namespace krx

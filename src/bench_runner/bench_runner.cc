@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "src/bench_runner/thread_pool.h"
-#include "src/supervise/health.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/profiler.h"
 #include "src/telemetry/telemetry.h"
@@ -47,13 +46,6 @@ TaskResult BenchRunner::RunOne(const BenchTask& task) const {
   RunOptions run;
   run.max_steps = options_.max_steps;
   run.engine = options_.engine;
-  run.deadline_us = options_.deadline_us;
-  // Degradation ladder: once the block cache is quarantined, every task
-  // falls back to the single-step engine (same semantics, no predecode
-  // risk) — superblocks are predecoded state too, so they degrade with it.
-  if (options_.health != nullptr && !options_.health->block_cache_enabled()) {
-    run.engine = ExecEngine::kSingleStep;
-  }
   std::atomic<uint64_t>* pc_slot = nullptr;
   if (options_.profiler != nullptr) {
     const int worker = ThreadPool::CurrentWorkerIndex();

@@ -26,7 +26,6 @@
 
 namespace krx {
 
-class HealthState;
 namespace telemetry {
 class GuestProfiler;
 }  // namespace telemetry
@@ -76,13 +75,8 @@ struct BenchRunnerOptions {
   // runs the matrix once per engine.
   ExecEngine engine = ExecEngine::kBlockCache;
   uint64_t max_steps = 50'000'000;
-  // Supervision hooks (all optional). A deadline preempts a runaway task's
-  // guest run (StopReason::kDeadlineExceeded); `health` lets the degradation
-  // ladder force the block cache off once it is quarantined; `profiler`
-  // gets one PC slot per pool worker ("worker-N") for per-worker
+  // Optional: one PC slot per pool worker ("worker-N") for per-worker
   // attribution of the sampled matrix.
-  uint64_t deadline_us = 0;
-  HealthState* health = nullptr;
   telemetry::GuestProfiler* profiler = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "src/cpu/cpu.h"
 
+#include <algorithm>
 #include <chrono>
 #include <unordered_map>
 
@@ -47,20 +48,14 @@ Cpu::Cpu(KernelImage* image, CostModel cost, CpuOptions options)
       mmu_(&image->phys(), &image->page_table()),
       cost_(cost),
       options_(options) {
-  // Inherit the image's hardening switches; from here on this CPU's private
-  // MMU view is authoritative for this CPU (per-run fault record and TLB
-  // counters must not be shared between concurrently executing CPUs).
-  mmu_.set_smep(image_->mmu().smep());
-  mmu_.set_smap(image_->mmu().smap());
-
-  auto stack = image_->AllocDataPages(options_.stack_pages);
+  auto stack = image_->AllocDataPages(kKernelStackPages);
   if (!stack.ok()) {
     // Degrade instead of aborting the host: the failure surfaces as a
     // kHostError result on the first CallFunction.
     init_error_ = "kernel stack allocation failed: " + stack.status().ToString();
   } else {
     stack_base_ = *stack;
-    stack_top_ = stack_base_ + options_.stack_pages * kPageSize;
+    stack_top_ = stack_base_ + kKernelStackPages * kPageSize;
   }
 
   RefreshKrxHandlerRange();
@@ -68,7 +63,7 @@ Cpu::Cpu(KernelImage* image, CostModel cost, CpuOptions options)
 
 Cpu::~Cpu() {
   if (stack_base_ != 0) {
-    image_->FreeDataPages(stack_base_, options_.stack_pages);
+    image_->FreeDataPages(stack_base_, kKernelStackPages);
   }
 }
 
@@ -84,13 +79,13 @@ bool Cpu::DataRead64(uint64_t vaddr, uint64_t* value) {
   auto v = mmu_.Read64(vaddr);
   if (v.ok() && image_->destructive_code_reads()) {
     // Heisenbyte baseline (§8): a successful data read of executable bytes
-    // destroys them in place, so disclosed gadgets crash when reused.
-    for (int i = 0; i < 8; ++i) {
-      const std::optional<Pte> pte = image_->page_table().Lookup(vaddr + static_cast<uint64_t>(i));
-      if (pte && pte->flags.present && !pte->flags.nx) {
-        image_->phys().Write8((pte->frame << kPageShift) |
-                                  PageOffset(vaddr + static_cast<uint64_t>(i)),
-                              0xD7);
+    // destroys them in place, so disclosed gadgets crash when reused. Every
+    // present, non-NX byte is smashed in its instruction frame, whatever
+    // SMEP says.
+    for (uint64_t i = 0; i < 8; ++i) {
+      const Translation t = mmu_.Walk(vaddr + i, Access::kExec);
+      if (t.ok() || t.fault == FaultKind::kSmepViolation) {
+        image_->phys().Write8(t.paddr, 0xD7);
       }
     }
   }
@@ -108,16 +103,17 @@ bool Cpu::DataRead64(uint64_t vaddr, uint64_t* value) {
 }
 
 bool Cpu::DataWrite64(uint64_t vaddr, uint64_t value) {
-  Status s = mmu_.Write64(vaddr, value);
-  if (!s.ok()) {
+  const Result<StoreFrames> wrote = mmu_.Write64(vaddr, value);
+  if (!wrote.ok()) {
     RaiseException(ExceptionKind::kPageFault, vaddr);
     return false;
   }
-  // Self-modifying code: a guest store that lands on a frame backing
+  // Self-modifying code: a guest store that wrote a frame backing
   // executable pages (e.g. through a writable physmap synonym under the
   // vanilla layout) invalidates any predecode of those bytes — in this CPU
   // and in every other CPU sharing the image.
-  if (image_->VaddrAliasesCode(vaddr)) {
+  if (image_->FrameIsCode(wrote->first) ||
+      (wrote->last != wrote->first && image_->FrameIsCode(wrote->last))) {
     image_->BumpTextGeneration();
   }
   return true;
@@ -201,10 +197,10 @@ void Cpu::PredictBranch(uint64_t rip, bool taken, uint64_t taken_rip,
 // and %bnd0, plus its own stores through an overlay (a model of the store
 // buffer, never drained to memory). Semantics that differ from the
 // architectural machine:
-//  - data accesses walk the page table without side effects and read
-//    physical memory directly, bypassing Mmu::Read64 (no TLB counters, no
-//    fault record, no destructive-code-read byte-smashing, no XnR
-//    disclosure handling); every touched data line goes to the observer;
+//  - data accesses go through Mmu::Walk and read physical memory
+//    directly, bypassing Mmu::Read64 (no fault record, no
+//    destructive-code-read byte-smashing, no XnR disclosure handling);
+//    every touched data line goes to the observer;
 //  - faults (unmapped or forbidden translations) end the window silently;
 //  - nested conditional branches follow the predictor (the machine is
 //    already speculating, so it speculates again) and consume window depth
@@ -229,39 +225,42 @@ struct Cpu::TransientMachine {
   uint64_t& Bnd0() { return bnd0; }
 
   bool Read(uint64_t vaddr, uint64_t* value) {
-    uint64_t p_lo = 0, p_hi = 0;
-    if (!DataPaddr(vaddr, &p_lo) || !DataPaddr(vaddr + 7, &p_hi)) {
+    const Translation lo = c.mmu_.Walk(vaddr, Access::kRead);
+    const Translation hi = c.mmu_.Walk(vaddr + 7, Access::kRead);
+    if (!lo.ok() || !hi.ok()) {
       return Fault();
     }
-    Touch(p_lo);
-    Touch(p_hi);
+    Touch(lo.paddr);
+    Touch(hi.paddr);
     if (auto it = overlay.find(vaddr); it != overlay.end()) {
       *value = it->second;
       return true;
     }
     const PhysMem& phys = c.image_->phys();
     if (PageOffset(vaddr) <= kPageSize - 8) {
-      *value = phys.Read64(p_lo);
+      *value = phys.Read64(lo.paddr);
       return true;
     }
+    // Crossing a page boundary: the first `n` bytes sit on lo's page, the
+    // rest on hi's.
+    const uint64_t n = kPageSize - PageOffset(vaddr);
     uint64_t v = 0;
     for (uint64_t i = 0; i < 8; ++i) {
-      uint64_t p = 0;
-      if (!DataPaddr(vaddr + i, &p)) {
-        return Fault();
-      }
+      const uint64_t p = i < n ? lo.paddr + i : hi.paddr - (7 - i);
       v |= static_cast<uint64_t>(phys.Read8(p)) << (8 * i);
     }
     *value = v;
     return true;
   }
 
+  // Wrong-path stores go to the store buffer, never to memory, so they take
+  // the read walk (present, SMAP) and no write-protect check.
   bool Write(uint64_t vaddr, uint64_t value) {
-    uint64_t p = 0;
-    if (!DataPaddr(vaddr, &p)) {
+    const Translation t = c.mmu_.Walk(vaddr, Access::kRead);
+    if (!t.ok()) {
       return Fault();
     }
-    Touch(p);
+    Touch(t.paddr);
     overlay[vaddr] = value;
     return true;
   }
@@ -286,32 +285,25 @@ struct Cpu::TransientMachine {
     return false;
   }
 
-  // Wrong-path instruction fetch: present, executable, SMEP-permitted pages
-  // only; fetches always use the instruction frame (not the XnR data frame)
-  // and leave no I-cache record — the observer models the D-side channel
-  // only.
+  // Wrong-path instruction fetch of up to 16 bytes, a page at a time:
+  // present, executable, SMEP-permitted pages only, from the instruction
+  // frame (not the HideM data frame), leaving no I-cache record — the
+  // observer models the D-side channel only.
   size_t Fetch(uint64_t vaddr, uint8_t* buf) const {
-    const PageTable& pt = c.image_->page_table();
-    size_t n = 0;
-    for (; n < 16; ++n) {
-      const std::optional<Pte> pte = pt.Lookup(vaddr + n);
-      if (!pte || !pte->flags.present || pte->flags.nx) break;
-      if (c.mmu_.smep() && pte->flags.user) break;
-      buf[n] = c.image_->phys().Read8((pte->frame << kPageShift) | PageOffset(vaddr + n));
+    uint64_t n = 0;
+    while (n < 16) {
+      const Translation t = c.mmu_.Walk(vaddr + n, Access::kExec);
+      if (!t.ok()) {
+        break;
+      }
+      const uint64_t len = std::min<uint64_t>(16 - n, kPageSize - PageOffset(vaddr + n));
+      c.image_->phys().ReadBytes(t.paddr, buf + n, len);
+      n += len;
     }
     return n;
   }
 
  private:
-  bool DataPaddr(uint64_t vaddr, uint64_t* paddr) const {
-    const std::optional<Pte> pte = c.image_->page_table().Lookup(vaddr);
-    if (!pte || !pte->flags.present) return false;
-    if (c.mmu_.smap() && pte->flags.user) return false;
-    const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;
-    *paddr = (frame << kPageShift) | PageOffset(vaddr);
-    return true;
-  }
-
   void Touch(uint64_t paddr) {
     if (c.side_channel_ != nullptr) {
       c.side_channel_->Touch(paddr);
@@ -658,9 +650,9 @@ RunResult Cpu::CallFunctionImpl(uint64_t entry, const std::vector<uint64_t>& arg
   // harness pseudo-tripwire so decoy-instrumented callees have a value to
   // store (the real syscall entry stub is itself instrumented).
   set_reg(Reg::kRsp, stack_top_ - 24);
-  Status sentinel = mmu_.Write64(reg(Reg::kRsp), kReturnSentinel);
+  const Result<StoreFrames> sentinel = mmu_.Write64(reg(Reg::kRsp), kReturnSentinel);
   if (!sentinel.ok()) {
-    return host_error("sentinel push failed: " + sentinel.ToString());
+    return host_error("sentinel push failed: " + sentinel.status().ToString());
   }
   set_reg(Reg::kR11, kReturnSentinel);
   bnd0_ub_ = options_.mpx_enabled ? image_->krx_edata() : ~0ULL;

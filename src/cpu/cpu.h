@@ -15,10 +15,10 @@
 // runs the wrong path through it, against shadow state. A step observer,
 // XnR or destructive code reads force single-step.
 //
-// Each Cpu owns its own Mmu view (translation state, fault record, TLB
-// counters) over the image's shared page table and physical memory, so many
-// Cpus can execute concurrently on one immutable image (the parallel bench
-// driver) without sharing mutable per-run state.
+// Each Cpu owns its own Mmu view (fault record, SMEP/SMAP switches) over
+// the image's shared page table and physical memory, so many Cpus can
+// execute concurrently on one immutable image (the parallel bench driver)
+// without sharing mutable per-run state.
 #ifndef KRX_SRC_CPU_CPU_H_
 #define KRX_SRC_CPU_CPU_H_
 
@@ -125,9 +125,11 @@ struct RunResult {
   double cycles() const { return static_cast<double>(deci_cycles) / 10.0; }
 };
 
+// Pages of each Cpu's kernel stack: 16KB, like THREAD_SIZE.
+inline constexpr uint64_t kKernelStackPages = 4;
+
 struct CpuOptions {
   bool mpx_enabled = false;  // kernel reserves %bnd0 = [_krx_edata]
-  uint64_t stack_pages = 4;  // 16KB kernel stack, like THREAD_SIZE
   // Transient-execution window (src/spec/spec.h). Off by default; enabling
   // it makes every mispredicted conditional branch simulate a bounded wrong
   // path against shadow state, under whichever engine the run uses.
@@ -182,8 +184,8 @@ class Cpu {
   KernelImage* image() { return image_; }
   const KernelImage* image() const { return image_; }
 
-  // This CPU's private translation context (fault record, TLB counters,
-  // SMEP/SMAP switches) over the image's shared page table.
+  // This CPU's private translation context (fault record, SMEP/SMAP
+  // switches) over the image's shared page table.
   Mmu& mmu() { return mmu_; }
   const Mmu& mmu() const { return mmu_; }
 

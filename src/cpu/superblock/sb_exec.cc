@@ -26,25 +26,24 @@ struct Cpu::SbOps {
   };
 
   // Fills a direct-mapped TLB slot for the page containing `vaddr`.
-  // `gen` must have been read from the page table *before* the Lookup: a
+  // `gen` must have been read from the page table *before* the walk: a
   // concurrent remap between the two then leaves the entry conservatively
   // stale (it revalidates against the newer generation and misses) instead
-  // of dangerously fresh. User pages are never cached — the canonical path
-  // owns SMAP fault semantics.
+  // of dangerously fresh. User pages are never cached, though the walk
+  // allows them with SMAP off: the canonical path owns SMAP fault semantics.
   static bool FillTlb(Cpu& c, SbTlbEntry& e, uint64_t vaddr, uint64_t gen) {
-    const std::optional<Pte> pte = c.image_->page_table().Lookup(vaddr);
-    if (!pte || !pte->flags.present || pte->flags.user) {
+    const Translation t = c.mmu_.Walk(vaddr, Access::kRead);
+    if (!t.ok() || t.flags.user) {
       return false;
     }
-    const uint64_t frame = pte->has_data_frame ? pte->data_frame : pte->frame;
     e.vpage = vaddr >> kPageShift;
     e.page_gen = gen;
-    e.paddr_base = frame << kPageShift;
-    e.writable = pte->flags.writable;
-    // Page-granular and exact for in-page accesses: vaddr and vaddr+7 share
-    // the page, so DataWrite64's VaddrAliasesCode(vaddr) answer is a
-    // property of the page alone.
-    e.aliases_code = c.image_->VaddrAliasesCode(PageFloor(vaddr), 1);
+    e.paddr_base = PageFloor(t.paddr);
+    e.writable = t.flags.writable;
+    // A store through this entry writes this frame, so it decides code
+    // aliasing here exactly as Cpu::DataWrite64 decides it from the frame an
+    // in-page store wrote.
+    e.aliases_code = c.image_->FrameIsCode(t.paddr >> kPageShift);
     return true;
   }
 

@@ -35,7 +35,7 @@ PteFlags FlagsForSection(SectionKind kind) {
 }  // namespace
 
 KernelImage::KernelImage(LayoutKind layout, uint64_t phys_bytes)
-    : layout_(layout), phys_(phys_bytes), mmu_(&phys_, &page_table_) {}
+    : layout_(layout), phys_(phys_bytes) {}
 
 KernelImage::~KernelImage() = default;
 
@@ -161,21 +161,6 @@ Result<uint64_t> KernelImage::MapUserPages(uint64_t vaddr, uint64_t num_pages) {
 bool KernelImage::FrameIsCode(uint64_t frame) const {
   for (const auto& [first, end] : code_frame_ranges_) {
     if (frame >= first && frame < end) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool KernelImage::VaddrAliasesCode(uint64_t vaddr, uint64_t span) const {
-  const std::optional<Pte> pte = page_table_.Lookup(vaddr);
-  if (pte && FrameIsCode(pte->frame)) {
-    return true;
-  }
-  const uint64_t last = vaddr + (span == 0 ? 0 : span - 1);
-  if (PageFloor(last) != PageFloor(vaddr)) {
-    const std::optional<Pte> tail = page_table_.Lookup(last);
-    if (tail && FrameIsCode(tail->frame)) {
       return true;
     }
   }

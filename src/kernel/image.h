@@ -42,7 +42,6 @@ class KernelImage {
   PhysMem& phys() { return phys_; }
   PageTable& page_table() { return page_table_; }
   const PageTable& page_table() const { return page_table_; }
-  Mmu& mmu() { return mmu_; }
   SymbolTable& symbols() { return symbols_; }
   const SymbolTable& symbols() const { return symbols_; }
 
@@ -135,8 +134,8 @@ class KernelImage {
   // instruction fetch would observe, or their fetchability: host-side pokes
   // that touch a code frame, section placement/removal (module load/unload,
   // fault-injector corruption goes through PokeBytes), new executable
-  // mappings, and guest stores that alias executable frames (the Cpu calls
-  // BumpTextGeneration via VaddrAliasesCode). Block caches tag entries with
+  // mappings, and guest stores that write executable frames (the Cpu checks
+  // each store's frames with FrameIsCode). Block caches tag entries with
   // the generation they decoded under and drop them on mismatch, so cached
   // execution stays bit-identical to the uncached interpreter. Atomic: the
   // parallel bench driver runs many Cpus over one shared image.
@@ -145,11 +144,8 @@ class KernelImage {
   }
   void BumpTextGeneration() { text_generation_.fetch_add(1, std::memory_order_acq_rel); }
 
-  // True when the physical frame backing `vaddr` also backs executable
-  // pages — i.e. a data write through `vaddr` is (possibly synonym-mediated)
-  // self-modification of code. Checks the page of `vaddr` and of
-  // `vaddr + span - 1` so straddling stores are caught.
-  bool VaddrAliasesCode(uint64_t vaddr, uint64_t span = 8) const;
+  // True when `frame` backs executable pages — i.e. a data write to it is
+  // (possibly synonym-mediated) self-modification of code.
   bool FrameIsCode(uint64_t frame) const;
 
   // XnR baseline-defense state (see src/kernel/baseline_defenses.h); null
@@ -167,7 +163,6 @@ class KernelImage {
   LayoutKind layout_;
   PhysMem phys_;
   PageTable page_table_;
-  Mmu mmu_;
   SymbolTable symbols_;
   std::vector<PlacedSection> sections_;
   uint64_t krx_edata_ = 0;

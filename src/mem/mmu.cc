@@ -223,60 +223,51 @@ std::vector<uint64_t> PageTable::FindWxViolations() const {
   return out;
 }
 
-Result<uint64_t> Mmu::Translate(uint64_t vaddr, Access access) {
-  if (access == Access::kExec) {
-    ++stats_.itlb_lookups;
-  } else {
-    ++stats_.dtlb_lookups;
-  }
+Translation Mmu::Walk(uint64_t vaddr, Access access) const {
   const std::optional<Pte> pte = pt_->Lookup(vaddr);
   if (!pte || !pte->flags.present) {
-    ++stats_.faults;
-    last_fault_ = PageFault{FaultKind::kNotPresent, vaddr, access};
-    return PermissionDeniedError("#PF: not present");
+    return Translation{};
   }
+  // Split ITLB/DTLB view (HideM baseline): data accesses may be steered to
+  // a shadow frame.
+  const uint64_t frame =
+      pte->has_data_frame && access != Access::kExec ? pte->data_frame : pte->frame;
+  Translation t{FaultKind::kNone, (frame << kPageShift) | PageOffset(vaddr), pte->flags};
+  const PteFlags& f = pte->flags;
   switch (access) {
     case Access::kRead:
       // x86: present implies readable — even for code pages. Execute-only
       // is not expressible here; this is the premise of the paper.
-      if (smap_ && pte->flags.user) {
-        ++stats_.faults;
-        last_fault_ = PageFault{FaultKind::kSmapViolation, vaddr, access};
-        return PermissionDeniedError("#PF: SMAP");
+      if (smap_ && f.user) {
+        t.fault = FaultKind::kSmapViolation;
       }
       break;
     case Access::kWrite:
-      if (!pte->flags.writable) {
-        ++stats_.faults;
-        last_fault_ = PageFault{FaultKind::kWriteProtect, vaddr, access};
-        return PermissionDeniedError("#PF: write-protected");
-      }
-      if (smap_ && pte->flags.user) {
-        ++stats_.faults;
-        last_fault_ = PageFault{FaultKind::kSmapViolation, vaddr, access};
-        return PermissionDeniedError("#PF: SMAP");
+      if (!f.writable) {
+        t.fault = FaultKind::kWriteProtect;
+      } else if (smap_ && f.user) {
+        t.fault = FaultKind::kSmapViolation;
       }
       break;
     case Access::kExec:
-      if (pte->flags.nx) {
-        ++stats_.faults;
-        last_fault_ = PageFault{FaultKind::kNxViolation, vaddr, access};
-        return PermissionDeniedError("#PF: NX");
-      }
-      // SMEP: supervisor-mode fetch from a user page — the ret2usr killer.
-      if (smep_ && pte->flags.user) {
-        ++stats_.faults;
-        last_fault_ = PageFault{FaultKind::kSmepViolation, vaddr, access};
-        return PermissionDeniedError("#PF: SMEP");
+      if (f.nx) {
+        t.fault = FaultKind::kNxViolation;
+      } else if (smep_ && f.user) {
+        // SMEP: supervisor-mode fetch from a user page — the ret2usr killer.
+        t.fault = FaultKind::kSmepViolation;
       }
       break;
   }
-  // Split ITLB/DTLB view (HideM baseline): data accesses may be steered to
-  // a shadow frame.
-  if (pte->has_data_frame && access != Access::kExec) {
-    return (pte->data_frame << kPageShift) | PageOffset(vaddr);
+  return t;
+}
+
+Result<uint64_t> Mmu::Translate(uint64_t vaddr, Access access) {
+  const Translation t = Walk(vaddr, access);
+  if (!t.ok()) {
+    last_fault_ = PageFault{t.fault, vaddr, access};
+    return PermissionDeniedError(std::string("#PF: ") + FaultKindName(t.fault));
   }
-  return (pte->frame << kPageShift) | PageOffset(vaddr);
+  return t.paddr;
 }
 
 Result<uint64_t> Mmu::Read64(uint64_t vaddr) {
@@ -290,46 +281,34 @@ Result<uint64_t> Mmu::Read64(uint64_t vaddr) {
   }
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
-    auto b = Read8(vaddr + static_cast<uint64_t>(i));
-    if (!b.ok()) {
-      return b.status();
+    auto pa = Translate(vaddr + static_cast<uint64_t>(i), Access::kRead);
+    if (!pa.ok()) {
+      return pa.status();
     }
-    v |= static_cast<uint64_t>(*b) << (8 * i);
+    v |= static_cast<uint64_t>(phys_->Read8(*pa)) << (8 * i);
   }
   return v;
 }
 
-Status Mmu::Write64(uint64_t vaddr, uint64_t value) {
+Result<StoreFrames> Mmu::Write64(uint64_t vaddr, uint64_t value) {
   if (PageOffset(vaddr) + 8 <= kPageSize) {
     auto pa = Translate(vaddr, Access::kWrite);
     if (!pa.ok()) {
       return pa.status();
     }
     phys_->Write64(*pa, value);
-    return Status::Ok();
+    return StoreFrames{*pa >> kPageShift, *pa >> kPageShift};
   }
+  StoreFrames frames;
   for (int i = 0; i < 8; ++i) {
-    KRX_RETURN_IF_ERROR(Write8(vaddr + static_cast<uint64_t>(i),
-                               static_cast<uint8_t>(value >> (8 * i))));
+    auto pa = Translate(vaddr + static_cast<uint64_t>(i), Access::kWrite);
+    if (!pa.ok()) {
+      return pa.status();
+    }
+    phys_->Write8(*pa, static_cast<uint8_t>(value >> (8 * i)));
+    (i == 0 ? frames.first : frames.last) = *pa >> kPageShift;
   }
-  return Status::Ok();
-}
-
-Result<uint8_t> Mmu::Read8(uint64_t vaddr) {
-  auto pa = Translate(vaddr, Access::kRead);
-  if (!pa.ok()) {
-    return pa.status();
-  }
-  return phys_->Read8(*pa);
-}
-
-Status Mmu::Write8(uint64_t vaddr, uint8_t value) {
-  auto pa = Translate(vaddr, Access::kWrite);
-  if (!pa.ok()) {
-    return pa.status();
-  }
-  phys_->Write8(*pa, value);
-  return Status::Ok();
+  return frames;
 }
 
 Result<uint64_t> Mmu::FetchCode(uint64_t vaddr, uint8_t* buf, uint64_t len) {

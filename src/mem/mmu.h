@@ -182,13 +182,24 @@ class PageTable {
   std::atomic<uint64_t> generation_{0};
 };
 
-// Memory-access statistics, including split ITLB/DTLB lookups (the paper
-// discusses HideM's ITLB/DTLB desynchronization; we keep the split counters
-// to show that the kR^X design does not rely on TLB tricks).
-struct MmuStats {
-  uint64_t itlb_lookups = 0;
-  uint64_t dtlb_lookups = 0;
-  uint64_t faults = 0;
+// One page walk's answer for one access (Mmu::Walk).
+struct Translation {
+  // kNone when the access is allowed, else the #PF it raises.
+  FaultKind fault = FaultKind::kNotPresent;
+  // Where the access lands: the HideM data frame for reads and writes, the
+  // instruction frame for fetches. Set whenever the page is present, even
+  // when a permission check faults.
+  uint64_t paddr = 0;
+  PteFlags flags;  // the entry's flags; unset when not present
+
+  bool ok() const { return fault == FaultKind::kNone; }
+};
+
+// The frames a store wrote: its first byte's and its last byte's (the same
+// frame unless the store crosses a page boundary).
+struct StoreFrames {
+  uint64_t first = 0;
+  uint64_t last = 0;
 };
 
 class Mmu {
@@ -200,26 +211,27 @@ class Mmu {
   // (kills ret2usr) and SMAP forbids data access to user pages.
   void set_smep(bool on) { smep_ = on; }
   void set_smap(bool on) { smap_ = on; }
-  bool smep() const { return smep_; }
-  bool smap() const { return smap_; }
 
-  // Translates vaddr for the given access; on success returns the physical
-  // address. x86 semantics: kRead succeeds on any present page (X implies R).
+  // The page walk every guest access goes through, without side effects:
+  // the physical address `access` reaches and the #PF it raises, checked in
+  // x86 order (not present, then write-protect or NX, then SMAP or SMEP).
+  // kRead succeeds on any present page (X implies R).
+  Translation Walk(uint64_t vaddr, Access access) const;
+
+  // Walk plus the fault record: on success returns the physical address.
   Result<uint64_t> Translate(uint64_t vaddr, Access access);
 
   // Data accessors (raise faults via Result). Multi-byte accesses may cross
-  // page boundaries.
+  // page boundaries; a crossing store that faults on its second page has
+  // already written the bytes before it.
   Result<uint64_t> Read64(uint64_t vaddr);
-  Status Write64(uint64_t vaddr, uint64_t value);
-  Result<uint8_t> Read8(uint64_t vaddr);
-  Status Write8(uint64_t vaddr, uint8_t value);
+  Result<StoreFrames> Write64(uint64_t vaddr, uint64_t value);
 
   // Instruction fetch of up to `len` bytes into `buf`; returns bytes copied
   // (may be < len at unmapped boundary; 0 => fault).
   Result<uint64_t> FetchCode(uint64_t vaddr, uint8_t* buf, uint64_t len);
 
   const PageFault& last_fault() const { return last_fault_; }
-  const MmuStats& stats() const { return stats_; }
   PageTable* page_table() { return pt_; }
   PhysMem* phys() { return phys_; }
 
@@ -227,7 +239,6 @@ class Mmu {
   PhysMem* phys_;
   PageTable* pt_;
   PageFault last_fault_;
-  MmuStats stats_;
   bool smep_ = false;
   bool smap_ = false;
 };

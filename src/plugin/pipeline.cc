@@ -7,7 +7,6 @@
 #include "src/base/math_util.h"
 #include "src/kernel/assembler.h"
 #include "src/kernel/layout.h"
-#include "src/supervise/retry.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/verify/verifier.h"
@@ -408,35 +407,28 @@ Result<CompiledKernel> CompileKernel(KernelSource source, const BuildOptions& op
   // Retry with the next diversification seed: for randomized builds a
   // verify failure is a bad draw, not a dead end. Only verify failures are
   // transient — pass/link/layout errors surface immediately.
-  RetryPolicy policy;
-  policy.max_attempts = kMaxVerifyRetries + 1;
-  policy.retry_if = [](const Status& s) {
-    const std::string& message = s.message();
-    return message.compare(0, std::string(kVerifyFailurePrefix).size(), kVerifyFailurePrefix) ==
-           0;
+  const auto seed_of = [&](int attempt) {
+    return base_config.seed + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(attempt);
   };
-  Retrier retrier("compile_verify", policy);
-  return retrier.Run<CompiledKernel>([&](int attempt) -> Result<CompiledKernel> {
+  for (int attempt = 0;; ++attempt) {
     ProtectionConfig attempt_config = base_config;
-    if (attempt > 0) {
-      const uint64_t failed_seed =
-          attempt == 1 ? base_config.seed
-                       : base_config.seed + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(attempt - 1);
-      attempt_config.seed =
-          base_config.seed + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(attempt);
-      std::fprintf(stderr,
-                   "[krx] post-link verify failed (attempt %d, seed 0x%llx); "
-                   "retrying with seed 0x%llx\n",
-                   attempt - 1, static_cast<unsigned long long>(failed_seed),
-                   static_cast<unsigned long long>(attempt_config.seed));
-    }
+    attempt_config.seed = seed_of(attempt);
     auto built = CompileKernelAttempt(source, attempt_config, options.layout, verify, attempt);
     if (built.ok()) {
       built->stats.verify_retries = static_cast<uint64_t>(attempt);
       PublishCompileMetrics(built->stats);
+      return built;
     }
-    return built;
-  });
+    if (attempt == kMaxVerifyRetries ||
+        !built.status().message().starts_with(kVerifyFailurePrefix)) {
+      return built;
+    }
+    std::fprintf(stderr,
+                 "[krx] post-link verify failed (attempt %d, seed 0x%llx); "
+                 "retrying with seed 0x%llx\n",
+                 attempt, static_cast<unsigned long long>(seed_of(attempt)),
+                 static_cast<unsigned long long>(seed_of(attempt + 1)));
+  }
 }
 
 Result<ModuleObject> CompileModule(const std::string& name, std::vector<Function> functions,

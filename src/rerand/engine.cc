@@ -243,12 +243,10 @@ Status RerandEngine::RewriteStacks(const std::vector<uint64_t>& old_offsets,
   const auto& fns = map_->functions;
   const uint64_t base = map_->text_base;
 
-  std::vector<std::pair<uint64_t, uint64_t>> ranges = extra_stack_ranges_;
-  if (stack_ranges_provider_) {
-    auto provided = stack_ranges_provider_(image);
-    KRX_RETURN_IF_ERROR(provided.status());
-    ranges.insert(ranges.end(), provided->begin(), provided->end());
-  }
+  if (!stack_ranges_provider_) return Status::Ok();
+  auto provided = stack_ranges_provider_(image);
+  KRX_RETURN_IF_ERROR(provided.status());
+  const std::vector<std::pair<uint64_t, uint64_t>>& ranges = *provided;
   if (ranges.empty()) return Status::Ok();
 
   // Old-layout oracle: function extents (plaintext code pointers) and
@@ -561,7 +559,7 @@ Status RerandEngine::DoEpoch(RerandTrigger trigger, EpochReport* report) {
 
 Result<EpochReport> RerandEngine::RunEpochWithRetry(RerandTrigger trigger) {
   if (!has_retry_policy_) return RunEpoch(trigger);
-  Retrier retrier("rerand_epoch", retry_policy_, &retry_rng_);
+  Retrier retrier("rerand_epoch", retry_policy_);
   return retrier.Run<EpochReport>(
       [this, trigger](int /*attempt*/) { return RunEpoch(trigger); });
 }

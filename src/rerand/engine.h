@@ -107,14 +107,12 @@ class RerandEngine {
 
   // Live stack ranges to walk during kRewriteStacks, each [lo, hi) in bytes.
   // The provider is consulted at epoch time (workloads report their
-  // suspended-task stacks, e.g. SchedLiveStackRanges); AddStackRange pins a
-  // fixed extra range.
+  // suspended-task stacks, e.g. SchedLiveStackRanges).
   using StackRangeProvider =
       std::function<Result<std::vector<std::pair<uint64_t, uint64_t>>>(const KernelImage&)>;
   void set_stack_range_provider(StackRangeProvider provider) {
     stack_ranges_provider_ = std::move(provider);
   }
-  void AddStackRange(uint64_t lo, uint64_t hi) { extra_stack_ranges_.emplace_back(lo, hi); }
 
   // Modules whose retained relocations are re-patched each epoch.
   void set_module_loader(ModuleLoader* loader) { module_loader_ = loader; }
@@ -134,10 +132,6 @@ class RerandEngine {
     retry_policy_ = std::move(policy);
     has_retry_policy_ = true;
   }
-
-  // Trigger adapters for the oops path and a disclosure detector.
-  Result<EpochReport> NotifyOops() { return RunEpoch(RerandTrigger::kOops); }
-  Result<EpochReport> NotifyDisclosure() { return RunEpoch(RerandTrigger::kDisclosure); }
 
   // Periodic epochs from a background thread. StopTimer (and the
   // destructor) joins the thread; a tick whose epoch fails only counts
@@ -183,12 +177,10 @@ class RerandEngine {
   std::vector<Cpu*> cpus_;
   ModuleLoader* module_loader_ = nullptr;
   StackRangeProvider stack_ranges_provider_;
-  std::vector<std::pair<uint64_t, uint64_t>> extra_stack_ranges_;
 
   std::mutex epoch_mu_;  // serializes epochs (timer tick vs manual call)
   RetryPolicy retry_policy_;
   bool has_retry_policy_ = false;
-  LockedRng retry_rng_{0x8E77A11D};  // backoff jitter only
   int failpoint_ = -1;
   std::atomic<uint64_t> epochs_completed_{0};
   std::atomic<uint64_t> epoch_failures_{0};

@@ -29,8 +29,6 @@ const char* HealthLevelName(HealthLevel level) {
   return "?";
 }
 
-HealthState::HealthState(HealthThresholds thresholds) : thresholds_(thresholds) {}
-
 void HealthState::Degrade(HealthAspect aspect, int cpu, HealthLevel to, uint64_t failures,
                           const std::string& reason) {
   transitions_.push_back({aspect, cpu, to, failures, reason});
@@ -47,7 +45,7 @@ void HealthState::Degrade(HealthAspect aspect, int cpu, HealthLevel to, uint64_t
 void HealthState::RecordBlockCacheCorruption(const std::string& reason) {
   std::lock_guard<std::mutex> lock(mu_);
   ++cache_failures_;
-  if (!cache_degraded_ && cache_failures_ >= thresholds_.block_cache_failures) {
+  if (!cache_degraded_ && cache_failures_ >= kBlockCacheFailures) {
     cache_degraded_ = true;
     Degrade(HealthAspect::kBlockCache, -1, HealthLevel::kDegraded,
             static_cast<uint64_t>(cache_failures_), reason);
@@ -62,7 +60,7 @@ void HealthState::RecordBlockCacheOk() {
 void HealthState::RecordEpochRollback(const std::string& reason) {
   std::lock_guard<std::mutex> lock(mu_);
   ++rollbacks_;
-  if (!timer_degraded_ && rollbacks_ >= thresholds_.rerand_rollbacks) {
+  if (!timer_degraded_ && rollbacks_ >= kRerandRollbacks) {
     timer_degraded_ = true;
     Degrade(HealthAspect::kRerandTimer, -1, HealthLevel::kDegraded,
             static_cast<uint64_t>(rollbacks_), reason);
@@ -77,7 +75,7 @@ void HealthState::RecordEpochCommit() {
 void HealthState::RecordHardLockup(int cpu, const std::string& reason) {
   std::lock_guard<std::mutex> lock(mu_);
   const int count = ++cpu_lockups_[cpu];
-  if (!cpu_quarantined_[cpu] && count >= thresholds_.cpu_hard_lockups) {
+  if (!cpu_quarantined_[cpu] && count >= kCpuHardLockups) {
     cpu_quarantined_[cpu] = true;
     Degrade(HealthAspect::kCpu, cpu, HealthLevel::kQuarantined, static_cast<uint64_t>(count),
             reason);

@@ -40,12 +40,6 @@ const char* HealthAspectName(HealthAspect aspect);
 enum class HealthLevel : uint8_t { kNominal = 0, kDegraded, kQuarantined };
 const char* HealthLevelName(HealthLevel level);
 
-struct HealthThresholds {
-  int block_cache_failures = 2;  // consecutive corruptions before degrading
-  int rerand_rollbacks = 2;      // consecutive rollbacks before manual-only
-  int cpu_hard_lockups = 1;      // hard lockups before quarantine
-};
-
 struct HealthTransition {
   HealthAspect aspect = HealthAspect::kBlockCache;
   int cpu = -1;  // kCpu transitions only
@@ -56,7 +50,10 @@ struct HealthTransition {
 
 class HealthState {
  public:
-  explicit HealthState(HealthThresholds thresholds = HealthThresholds());
+  // Thresholds: consecutive failures that step an aspect down a rung.
+  static constexpr int kBlockCacheFailures = 2;  // corruptions before degrading
+  static constexpr int kRerandRollbacks = 2;     // rollbacks before manual-only
+  static constexpr int kCpuHardLockups = 1;      // hard lockups before quarantine
 
   // Failure/success signals. Successes reset the aspect's consecutive
   // counter; failures past the threshold degrade (once).
@@ -66,8 +63,8 @@ class HealthState {
   void RecordEpochCommit();
   void RecordHardLockup(int cpu, const std::string& reason);
 
-  // Degraded-state queries, consulted by the bench runner (cache), the
-  // rerand driver (timer) and schedulers (quarantine).
+  // Degraded-state queries, consulted by whoever schedules the work (the
+  // chaos campaign picks its engine and Cpus by them).
   bool block_cache_enabled() const;
   bool rerand_timer_enabled() const;
   bool cpu_quarantined(int cpu) const;
@@ -82,8 +79,6 @@ class HealthState {
   // Emits telemetry and records the transition. Caller holds mu_.
   void Degrade(HealthAspect aspect, int cpu, HealthLevel to, uint64_t failures,
                const std::string& reason);
-
-  HealthThresholds thresholds_;
 
   mutable std::mutex mu_;
   int cache_failures_ = 0;

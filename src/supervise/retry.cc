@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/kernel/module_loader.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 
@@ -17,26 +16,19 @@ void BumpRetryCounter(const std::string& name, const char* suffix) {
 
 }  // namespace
 
-Retrier::Retrier(std::string name, RetryPolicy policy, LockedRng* jitter_rng, Clock* clock)
+Retrier::Retrier(std::string name, RetryPolicy policy, Clock* clock)
     : name_(std::move(name)),
       policy_(std::move(policy)),
-      rng_(jitter_rng),
       clock_(clock != nullptr ? clock : RealClock()) {
   policy_.max_attempts = std::max(policy_.max_attempts, 1);
 }
 
 std::chrono::microseconds Retrier::BackoffDelay(int attempt) {
-  double us = static_cast<double>(policy_.base_backoff.count());
+  std::chrono::microseconds delay = policy_.base_backoff;
   for (int i = 1; i < attempt; ++i) {
-    us *= policy_.multiplier;
+    delay *= 2;
   }
-  if (policy_.jitter > 0 && rng_ != nullptr && us > 0) {
-    // Uniform draw in [1-jitter, 1+jitter] from 20 bits of the shared rng.
-    const double u = static_cast<double>(rng_->NextBelow(1u << 20)) /
-                     static_cast<double>(1u << 20);
-    us *= 1.0 + policy_.jitter * (2.0 * u - 1.0);
-  }
-  return std::chrono::microseconds(static_cast<int64_t>(us));
+  return delay;
 }
 
 void Retrier::NoteAttempt() {
@@ -58,13 +50,6 @@ bool Retrier::HandleFailure(const Status& status, int attempt) {
     clock_->SleepFor(delay);
   }
   return true;
-}
-
-Result<int32_t> LoadModuleWithRetry(ModuleLoader& loader, const ModuleObject& module,
-                                    const RetryPolicy& policy, LockedRng* jitter_rng,
-                                    Clock* clock) {
-  Retrier retrier("module_load", policy, jitter_rng, clock);
-  return retrier.Run<int32_t>([&](int) { return loader.Load(module); });
 }
 
 }  // namespace krx

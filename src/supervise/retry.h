@@ -1,19 +1,16 @@
 // Reusable retry/backoff policy engine.
 //
 // One RetryPolicy describes how a fallible operation may be re-attempted:
-// a bounded attempt count, exponential backoff with optional jitter (drawn
-// from a caller-owned LockedRng so concurrent retriers stay multiset-
-// deterministic), and a per-class error filter deciding which failures are
-// transient. A Retrier executes the attempts, sleeps through an injectable
-// Clock (tests use FakeClock), and publishes per-operation counters:
+// a bounded attempt count, a backoff that doubles per retry, and a
+// per-class error filter deciding which failures are transient. A Retrier
+// executes the attempts, sleeps through an injectable Clock (tests use
+// FakeClock), and publishes per-operation counters:
 //
 //   retry.<name>.attempts   every attempt started
 //   retry.<name>.retries    failures that led to another attempt
 //   retry.<name>.exhausted  gave up: attempts exhausted or filter said no
 //
-// Consumers: CompileKernel's post-link verify retry (seed rotation),
-// RerandEngine::RunEpochWithRetry (transient epoch failures), and
-// LoadModuleWithRetry (transactional module loads).
+// Consumer: RerandEngine::RunEpochWithRetry (transient epoch failures).
 #ifndef KRX_SRC_SUPERVISE_RETRY_H_
 #define KRX_SRC_SUPERVISE_RETRY_H_
 
@@ -23,23 +20,16 @@
 #include <string>
 #include <utility>
 
-#include "src/base/rng.h"
 #include "src/base/status.h"
 #include "src/supervise/clock.h"
 
 namespace krx {
 
-class ModuleLoader;
-struct ModuleObject;
-
 struct RetryPolicy {
   // Total attempts, including the first (1 = no retries; clamped to >= 1).
   int max_attempts = 3;
-  // Delay before retry k (1-based) is base_backoff * multiplier^(k-1),
-  // scaled by a jitter factor drawn uniformly from [1-jitter, 1+jitter].
+  // Delay before retry k (1-based) is base_backoff * 2^(k-1).
   std::chrono::microseconds base_backoff{0};
-  double multiplier = 2.0;
-  double jitter = 0.0;  // fraction in [0, 1); 0 = deterministic delays
   // Returns true when the failure is transient (worth retrying). Null means
   // every error retries.
   std::function<bool(const Status&)> retry_if;
@@ -47,10 +37,8 @@ struct RetryPolicy {
 
 class Retrier {
  public:
-  // `name` keys the telemetry counters. `jitter_rng` may be null when
-  // policy.jitter == 0; `clock` null means RealClock().
-  Retrier(std::string name, RetryPolicy policy, LockedRng* jitter_rng = nullptr,
-          Clock* clock = nullptr);
+  // `name` keys the telemetry counters; `clock` null means RealClock().
+  Retrier(std::string name, RetryPolicy policy, Clock* clock = nullptr);
 
   // Runs `attempt_fn(attempt)` (attempt = 0-based) until it succeeds, the
   // filter rejects the failure, or attempts are exhausted. Returns the last
@@ -76,8 +64,8 @@ class Retrier {
     }
   }
 
-  // The backoff delay that precedes retry `attempt` (1-based), jitter
-  // applied. Exposed so tests can pin the schedule down.
+  // The backoff delay that precedes retry `attempt` (1-based). Exposed so
+  // tests can pin the schedule down.
   std::chrono::microseconds BackoffDelay(int attempt);
 
   // Attempts started by this retrier so far.
@@ -90,17 +78,9 @@ class Retrier {
 
   std::string name_;
   RetryPolicy policy_;
-  LockedRng* rng_;
   Clock* clock_;
   int attempts_ = 0;
 };
-
-// Retries a transactional module load under `policy`. The loader's rollback
-// discipline makes every failed attempt side-effect free, which is what
-// makes blind re-attempts sound here.
-Result<int32_t> LoadModuleWithRetry(ModuleLoader& loader, const ModuleObject& module,
-                                    const RetryPolicy& policy, LockedRng* jitter_rng = nullptr,
-                                    Clock* clock = nullptr);
 
 }  // namespace krx
 

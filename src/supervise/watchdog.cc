@@ -7,11 +7,7 @@
 
 namespace krx {
 
-Watchdog::Watchdog() : Watchdog(Options()) {}
-
-Watchdog::Watchdog(Options options)
-    : options_(options),
-      clock_(options.clock != nullptr ? options.clock : RealClock()) {}
+Watchdog::Watchdog(Clock* clock) : clock_(clock != nullptr ? clock : RealClock()) {}
 
 Watchdog::~Watchdog() { Stop(); }
 
@@ -52,7 +48,7 @@ void Watchdog::Stop() {
 void Watchdog::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    const Clock::TimePoint until = clock_->Now() + options_.tick;
+    const Clock::TimePoint until = clock_->Now() + kTick;
     if (clock_->WaitUntil(cv_, lock, until, [this] { return stop_; })) {
       break;
     }
@@ -78,14 +74,14 @@ void Watchdog::Scan() {
       continue;
     }
     ++t->stalled;
-    if (!t->soft_reported && t->stalled >= static_cast<uint64_t>(options_.soft_ticks)) {
+    if (!t->soft_reported && t->stalled >= kSoftTicks) {
       t->soft_reported = true;
       soft_lockups_.fetch_add(1, std::memory_order_acq_rel);
       KRX_COUNTER_ADD("watchdog.soft_lockups", 1);
       KRX_TRACE_EVENT(kWatchdogLockup, t->label, /*hard=*/0, t->stalled);
       events_.push_back({t->label, /*hard=*/false, hb, t->stalled});
     }
-    if (!t->hard_reported && t->stalled >= static_cast<uint64_t>(options_.hard_ticks)) {
+    if (!t->hard_reported && t->stalled >= kHardTicks) {
       t->hard_reported = true;
       hard_lockups_.fetch_add(1, std::memory_order_acq_rel);
       KRX_COUNTER_ADD("watchdog.hard_lockups", 1);

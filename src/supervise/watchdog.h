@@ -10,9 +10,9 @@
 // callback. A heartbeat that keeps advancing is *not* a lockup — runaway-
 // but-progressing guests are the deadline's job (RunOptions::deadline_us).
 //
-// Detection mirrors the kernel's soft/hard lockup split: after
-// `soft_ticks` frozen ticks the watchdog records a soft lockup (telemetry
-// only); after `hard_ticks` it records a hard lockup and fires the
+// Detection mirrors the kernel's soft/hard lockup split: the watchdog scans
+// every kTick; after kSoftTicks frozen ticks it records a soft lockup
+// (telemetry only); after kHardTicks it records a hard lockup and fires the
 // target's callback (typically Cpu::RequestPreempt + a HealthState
 // quarantine). Both fire once per stall episode; progress or idleness
 // rearms them.
@@ -39,12 +39,9 @@ namespace krx {
 
 class Watchdog {
  public:
-  struct Options {
-    std::chrono::milliseconds tick{20};
-    int soft_ticks = 2;  // frozen ticks before a soft lockup is recorded
-    int hard_ticks = 5;  // frozen ticks before the hard callback fires
-    Clock* clock = nullptr;  // null = RealClock()
-  };
+  static constexpr std::chrono::milliseconds kTick{5};
+  static constexpr uint64_t kSoftTicks = 2;  // frozen ticks before a soft lockup
+  static constexpr uint64_t kHardTicks = 4;  // frozen ticks before the hard callback
 
   struct LockupEvent {
     std::string label;
@@ -53,8 +50,7 @@ class Watchdog {
     uint64_t stalled_ticks = 0;  // ticks it had been frozen when reported
   };
 
-  Watchdog();  // default Options (defined out of line: nested-NSDMI rule)
-  explicit Watchdog(Options options);
+  explicit Watchdog(Clock* clock = nullptr);  // null = RealClock()
   ~Watchdog();  // stops and joins
 
   Watchdog(const Watchdog&) = delete;
@@ -90,7 +86,6 @@ class Watchdog {
   void Loop();
   void Scan();
 
-  Options options_;
   Clock* clock_;
 
   mutable std::mutex mu_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "src/base/math_util.h"
@@ -104,43 +103,6 @@ TEST(Rng, ForkIndependence) {
   Rng a(17);
   Rng b = a.Fork();
   EXPECT_NE(a.Next(), b.Next());
-}
-
-// LockedRng: concurrent draws are each an atomic consumption of one value
-// from the underlying stream — the multiset of results across threads is
-// exactly the first N outputs of a plain Rng with the same seed, no value
-// lost, duplicated, or torn. Run under TSan (sanitize label) this is also
-// the data-race check for the engine's shared-generator pattern.
-TEST(LockedRng, ConcurrentDrawsConsumeTheSequenceExactly) {
-  constexpr int kThreads = 4;
-  constexpr int kDrawsPerThread = 2000;
-  LockedRng locked(99);
-  std::vector<std::vector<uint64_t>> per_thread(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      per_thread[static_cast<size_t>(t)].reserve(kDrawsPerThread);
-      for (int i = 0; i < kDrawsPerThread; ++i) {
-        per_thread[static_cast<size_t>(t)].push_back(locked.Next());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  std::multiset<uint64_t> drawn;
-  for (const auto& v : per_thread) drawn.insert(v.begin(), v.end());
-  Rng reference(99);
-  std::multiset<uint64_t> expected;
-  for (int i = 0; i < kThreads * kDrawsPerThread; ++i) expected.insert(reference.Next());
-  EXPECT_EQ(drawn, expected);
-}
-
-TEST(LockedRng, ForkedStreamsAreIndependent) {
-  LockedRng locked(21);
-  Rng forked = locked.Fork();
-  EXPECT_NE(locked.Next(), forked.Next());
-  EXPECT_LT(locked.NextBelow(10), 10u);
-  EXPECT_FALSE(locked.NextBool(0.0));
 }
 
 TEST(MathUtil, PermutationEntropy) {

@@ -200,7 +200,7 @@ TEST_F(BaselineTest, HeisenbyteBypassedByCodeInference) {
   // ...but the inferred twin executes the zombie gadget fine.
   lab.cpu().set_reg(Reg::kRdi, 0x1337);
   lab.cpu().set_reg(Reg::kRsp, lab.cpu().stack_top() - 16);
-  KRX_CHECK(kernel.image->mmu().Write64(lab.cpu().reg(Reg::kRsp), Cpu::kReturnSentinel).ok());
+  KRX_CHECK(lab.cpu().mmu().Write64(lab.cpu().reg(Reg::kRsp), Cpu::kReturnSentinel).ok());
   RunResult alive = lab.cpu().RunAt(*copy_b + mov_ret->address, RunOptions{.max_steps = 8});
   EXPECT_EQ(alive.reason, StopReason::kReturned);
   EXPECT_EQ(alive.rax, 0x1337u);

@@ -105,13 +105,76 @@ TEST_F(MmuTest, WxAudit) {
   EXPECT_EQ(violations[0], 0xD000u);
 }
 
-TEST_F(MmuTest, TlbCountersSplitByAccessKind) {
-  pt_.Map(0xF000, 13, PteFlags{true, true, false});
-  uint8_t buf[1];
-  (void)mmu_.Read64(0xF000);
-  (void)mmu_.FetchCode(0xF000, buf, 1);
-  EXPECT_EQ(mmu_.stats().dtlb_lookups, 1u);
-  EXPECT_EQ(mmu_.stats().itlb_lookups, 1u);
+// The one page walk against Translate over every entry the walk can meet:
+// present x writable x nx x user x HideM data frame, for each access kind
+// under each SMEP/SMAP setting. Both give the same physical address or the
+// same #PF kind, in x86 order (not present, then write-protect or NX, then
+// SMAP or SMEP), and the walk leaves the fault record alone.
+TEST_F(MmuTest, WalkMatchesTranslateOnEveryEntryAccessAndSwitch) {
+  constexpr uint64_t kVaddr = 0x20000 + 0x123;
+  constexpr uint64_t kFrame = 21;
+  constexpr uint64_t kDataFrame = 22;
+  int checked = 0;
+  for (int bits = 0; bits < (1 << 7); ++bits) {
+    const PteFlags flags{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0, (bits & 8) != 0};
+    const bool data_frame = (bits & 16) != 0;
+    const bool smep = (bits & 32) != 0;
+    const bool smap = (bits & 64) != 0;
+    pt_.Map(kVaddr, kFrame, flags);
+    if (data_frame) {
+      Pte* pte = pt_.LookupMutable(kVaddr);
+      ASSERT_NE(pte, nullptr);
+      pte->has_data_frame = true;
+      pte->data_frame = kDataFrame;
+    }
+    mmu_.set_smep(smep);
+    mmu_.set_smap(smap);
+    for (Access access : {Access::kRead, Access::kWrite, Access::kExec}) {
+      SCOPED_TRACE(::testing::Message() << "bits " << bits << " access "
+                                        << static_cast<int>(access));
+      FaultKind want = FaultKind::kNone;
+      if (!flags.present) {
+        want = FaultKind::kNotPresent;
+      } else if (access == Access::kWrite && !flags.writable) {
+        want = FaultKind::kWriteProtect;
+      } else if (access == Access::kExec && flags.nx) {
+        want = FaultKind::kNxViolation;
+      } else if (access != Access::kExec && smap && flags.user) {
+        want = FaultKind::kSmapViolation;
+      } else if (access == Access::kExec && smep && flags.user) {
+        want = FaultKind::kSmepViolation;
+      }
+      const uint64_t frame = data_frame && access != Access::kExec ? kDataFrame : kFrame;
+      const uint64_t paddr = (frame << kPageShift) | PageOffset(kVaddr);
+
+      // A fault record from an unrelated access, which the walk must keep.
+      ASSERT_FALSE(mmu_.Translate(0x1000, Access::kRead).ok());
+      const Translation t = mmu_.Walk(kVaddr, access);
+      EXPECT_EQ(mmu_.last_fault().kind, FaultKind::kNotPresent);
+      EXPECT_EQ(mmu_.last_fault().vaddr, 0x1000u);
+      EXPECT_EQ(mmu_.last_fault().access, Access::kRead);
+
+      EXPECT_EQ(t.fault, want);
+      if (flags.present) {
+        EXPECT_EQ(t.paddr, paddr);
+        EXPECT_EQ(t.flags, flags);
+      }
+      const Result<uint64_t> translated = mmu_.Translate(kVaddr, access);
+      if (want == FaultKind::kNone) {
+        ASSERT_TRUE(translated.ok());
+        EXPECT_EQ(*translated, paddr);
+      } else {
+        EXPECT_FALSE(translated.ok());
+        EXPECT_EQ(mmu_.last_fault().kind, want);
+        EXPECT_EQ(mmu_.last_fault().vaddr, kVaddr);
+        EXPECT_EQ(mmu_.last_fault().access, access);
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 384);
+  // An unmapped address walks to not-present as well.
+  EXPECT_EQ(mmu_.Walk(0x1000, Access::kRead).fault, FaultKind::kNotPresent);
 }
 
 TEST_F(MmuTest, SmepBlocksSupervisorFetchFromUserPage) {

@@ -281,10 +281,10 @@ TEST(RerandEpoch, TriggerAdaptersAndTimer) {
   engine.RegisterCpu(env.cpu_a.get());
   engine.set_stack_range_provider(SchedLiveStackRanges);
 
-  auto oops = engine.NotifyOops();
+  auto oops = engine.RunEpoch(RerandTrigger::kOops);
   ASSERT_TRUE(oops.ok());
   EXPECT_EQ(oops->trigger, RerandTrigger::kOops);
-  auto leak = engine.NotifyDisclosure();
+  auto leak = engine.RunEpoch(RerandTrigger::kDisclosure);
   ASSERT_TRUE(leak.ok());
   EXPECT_EQ(leak->trigger, RerandTrigger::kDisclosure);
 

@@ -234,7 +234,7 @@ TEST(SuperblockInvalidation, GuestStoreThroughPhysmapSynonym) {
   ASSERT_GE(*entry, text->vaddr);
   const uint64_t frame = text->first_frame + ((*entry - text->vaddr) >> kPageShift);
   const uint64_t synonym = image.PhysmapVaddr(frame) + (*entry & (kPageSize - 1));
-  ASSERT_TRUE(image.VaddrAliasesCode(synonym));
+  ASSERT_TRUE(image.FrameIsCode(frame));
 
   RunResult warm = sb_cpu.CallFunction("smc_target", {}, Superblocked());
   ASSERT_EQ(warm.reason, StopReason::kReturned);
@@ -258,6 +258,42 @@ TEST(SuperblockInvalidation, GuestStoreThroughPhysmapSynonym) {
   RunResult again = sb_cpu.CallFunction("smc_target", {}, Superblocked());
   EXPECT_EQ(again.reason, StopReason::kReturned);
   EXPECT_EQ(again.rax, 42u);
+}
+
+// Invalidation follows the frames a guest store wrote, on every engine. A
+// store to a plain data page leaves the text generation alone. A store whose
+// first bytes land on a data page and whose last bytes cross into a physmap
+// synonym of a code frame bumps it; it rewrites the bytes already there, so
+// the code stays intact.
+TEST(SuperblockInvalidation, StoresBumpTheTextGenerationOnlyWhenTheyWriteCode) {
+  KernelSource src = MakeBaseSource();
+  AddSmcHelpers(&src);
+  auto kernel = CompileKernel(std::move(src), {ProtectionConfig::Vanilla(), LayoutKind::kVanilla});
+  ASSERT_TRUE(kernel.ok());
+  KernelImage& image = *kernel->image;
+  const PlacedSection* text = image.FindSection(".text");
+  ASSERT_NE(text, nullptr);
+  ASSERT_TRUE(image.FrameIsCode(text->first_frame));
+  ASSERT_FALSE(image.FrameIsCode(text->first_frame - 1));
+  const uint64_t crossing = image.PhysmapVaddr(text->first_frame) - 4;
+  auto same = image.Peek64(crossing);
+  ASSERT_TRUE(same.ok());
+  auto data = image.AllocDataPages(1);
+  ASSERT_TRUE(data.ok());
+
+  for (const RunOptions& engine : {SingleStep(), Cached(), Superblocked()}) {
+    const std::string ctx = "engine " + std::to_string(static_cast<int>(engine.engine));
+    Cpu cpu(&image);
+    const uint64_t before = image.text_generation();
+    RunResult plain = cpu.CallFunction("smc_store", {*data + 8, 0x5EED}, engine);
+    ASSERT_EQ(plain.reason, StopReason::kReturned) << ctx;
+    EXPECT_EQ(image.text_generation(), before) << ctx;
+
+    RunResult code = cpu.CallFunction("smc_store", {crossing, *same}, engine);
+    ASSERT_EQ(code.reason, StopReason::kReturned) << ctx;
+    EXPECT_GT(image.text_generation(), before) << ctx;
+  }
+  EXPECT_EQ(*image.Peek64(crossing), *same);
 }
 
 // The inline TLB revalidates against the page-generation counter: an unmap

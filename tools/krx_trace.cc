@@ -296,11 +296,7 @@ int CmdMetrics(const std::string& config_name, uint64_t seed, bool csv) {
   // (kDeadlineExceeded), populating the watchdog.* and cpu.deadline_exceeded
   // counters with a real detection, not a synthetic bump.
   if (buf.ok()) {
-    Watchdog::Options wopts;
-    wopts.tick = std::chrono::milliseconds(5);
-    wopts.soft_ticks = 2;
-    wopts.hard_ticks = 4;
-    Watchdog watchdog(wopts);
+    Watchdog watchdog;
     Cpu cpu(&image, CostModel(), CpuOptions{});
     std::atomic<uint64_t>* hb = watchdog.Watch("cpu0", [&] { cpu.RequestPreempt(); });
     cpu.set_heartbeat_slot(hb);
