@@ -226,27 +226,34 @@ struct Cpu::TransientMachine {
 
   bool Read(uint64_t vaddr, uint64_t* value) {
     const Translation lo = c.mmu_.Walk(vaddr, Access::kRead);
-    const Translation hi = c.mmu_.Walk(vaddr + 7, Access::kRead);
-    if (!lo.ok() || !hi.ok()) {
+    if (!lo.ok()) {
       return Fault();
     }
+    // The first `n` bytes sit on lo's page; only a load that crosses into
+    // the next page walks it, for its last byte's address.
+    const uint64_t n = kPageSize - PageOffset(vaddr);
+    uint64_t last = lo.paddr + 7;
+    if (n < 8) {
+      const Translation hi = c.mmu_.Walk(vaddr + 7, Access::kRead);
+      if (!hi.ok()) {
+        return Fault();
+      }
+      last = hi.paddr;
+    }
     Touch(lo.paddr);
-    Touch(hi.paddr);
+    Touch(last);
     if (auto it = overlay.find(vaddr); it != overlay.end()) {
       *value = it->second;
       return true;
     }
     const PhysMem& phys = c.image_->phys();
-    if (PageOffset(vaddr) <= kPageSize - 8) {
+    if (n >= 8) {
       *value = phys.Read64(lo.paddr);
       return true;
     }
-    // Crossing a page boundary: the first `n` bytes sit on lo's page, the
-    // rest on hi's.
-    const uint64_t n = kPageSize - PageOffset(vaddr);
     uint64_t v = 0;
     for (uint64_t i = 0; i < 8; ++i) {
-      const uint64_t p = i < n ? lo.paddr + i : hi.paddr - (7 - i);
+      const uint64_t p = i < n ? lo.paddr + i : last - (7 - i);
       v |= static_cast<uint64_t>(phys.Read8(p)) << (8 * i);
     }
     *value = v;

@@ -90,8 +90,37 @@ Status FaultInjector::ResetForRun() {
     cpu_->set_reg(static_cast<Reg>(i), 0);
   }
   cpu_->rflags() = RFlags();
-  cpu_->set_step_observer(nullptr);
   return FillOpBuffer(*kernel_->image, buffer_vaddr_, buffer_seed_);
+}
+
+Result<RunResult> FaultInjector::RunObserved(const std::string& op,
+                                             std::function<void(const Cpu&)> observer) {
+  KRX_RETURN_IF_ERROR(ResetForRun());
+  cpu_->set_step_observer(std::move(observer));
+  RunResult r = cpu_->CallFunction(op, {buffer_vaddr_});
+  cpu_->set_step_observer(nullptr);
+  return r;
+}
+
+Result<RunResult> FaultInjector::RunArmed(const std::string& op, uint64_t trigger,
+                                          const std::function<void()>& fire) {
+  uint64_t retired = 0;
+  return RunObserved(op, [&](const Cpu&) {
+    if (++retired == trigger) {
+      fire();
+    }
+  });
+}
+
+void FaultInjector::RecordStop(const RunResult& r, bool trapped, InjectionOutcome* out) {
+  out->exception = r.exception;
+  out->krx_violation = r.krx_violation;
+  out->detect_step = r.instructions;
+  if (trapped) {
+    out->detection = Detection::kTrap;
+    out->correct = true;
+    out->latency = r.instructions > out->trigger_step ? r.instructions - out->trigger_step : 0;
+  }
 }
 
 Result<const GoldenRun*> FaultInjector::Golden(const std::string& op_symbol) {
@@ -106,7 +135,6 @@ Result<const GoldenRun*> FaultInjector::Golden(const std::string& op_symbol) {
   if (!entry.ok()) {
     return entry.status();
   }
-  KRX_RETURN_IF_ERROR(ResetForRun());
 
   GoldenRun g;
   g.rip_trace.push_back(*entry);
@@ -116,7 +144,7 @@ Result<const GoldenRun*> FaultInjector::Golden(const std::string& op_symbol) {
   const uint64_t sentinel_slot = cpu_->stack_top() - 24;
   const KernelImage* image = kernel_->image.get();
   uint64_t retired = 0;
-  cpu_->set_step_observer([&](const Cpu& c) {
+  auto run = RunObserved(op_symbol, [&](const Cpu& c) {
     ++retired;
     g.rip_trace.push_back(c.rip());
     auto slot = image->Peek64(sentinel_slot);
@@ -128,8 +156,8 @@ Result<const GoldenRun*> FaultInjector::Golden(const std::string& op_symbol) {
       g.enc_last = retired;
     }
   });
-  RunResult r = cpu_->CallFunction(*entry, {buffer_vaddr_});
-  cpu_->set_step_observer(nullptr);
+  KRX_RETURN_IF_ERROR(run.status());
+  const RunResult& r = *run;
   if (r.reason != StopReason::kReturned) {
     return InternalError("golden run of " + op_symbol + " did not return cleanly: " +
                          StopReasonName(r.reason));
@@ -217,38 +245,28 @@ Result<InjectionOutcome> FaultInjector::InjectDataBitFlip(const std::string& op,
   out.detail = op + ": flip bit " + std::to_string(bit) + " of buffer+" + Hex(byte_off) +
                " at step " + std::to_string(trigger);
 
-  KRX_RETURN_IF_ERROR(ResetForRun());
   KernelImage* image = kernel_->image.get();
   const uint64_t target = buffer_vaddr_ + byte_off;
-  uint64_t retired = 0;
-  cpu_->set_step_observer([&](const Cpu&) {
-    if (++retired == trigger) {
-      uint8_t b = 0;
-      if (image->PeekBytes(target, &b, 1).ok()) {
-        b = static_cast<uint8_t>(b ^ (1u << bit));
-        (void)image->PokeBytes(target, &b, 1);
-      }
+  auto r = RunArmed(op, trigger, [&] {
+    uint8_t b = 0;
+    if (image->PeekBytes(target, &b, 1).ok()) {
+      b = static_cast<uint8_t>(b ^ (1u << bit));
+      (void)image->PokeBytes(target, &b, 1);
     }
   });
-  RunResult r = cpu_->CallFunction(op, {buffer_vaddr_});
-  cpu_->set_step_observer(nullptr);
+  KRX_RETURN_IF_ERROR(r.status());
 
-  out.exception = r.exception;
-  out.krx_violation = r.krx_violation;
-  out.detect_step = r.instructions;
-  if (r.reason == StopReason::kReturned) {
+  // Contained: the poisoned value escaped the data domain and was caught
+  // (#PF on a wild pointer, range check, #BR, tripwire...).
+  const bool trapped = r->reason == StopReason::kException ||
+                       (r->reason == StopReason::kHalted && r->krx_violation);
+  RecordStop(*r, trapped, &out);
+  if (r->reason == StopReason::kReturned) {
     // Data faults are outside the R^X guarantee: a clean return is benign
     // for the protection invariants; a changed result is recorded as SDC.
     out.detection = Detection::kBenign;
-    out.result_changed = r.rax != g.rax;
+    out.result_changed = r->rax != g.rax;
     out.correct = true;
-  } else if (r.reason == StopReason::kException ||
-             (r.reason == StopReason::kHalted && r.krx_violation)) {
-    // Contained: the poisoned value escaped the data domain and was caught
-    // (#PF on a wild pointer, range check, #BR, tripwire...).
-    out.detection = Detection::kTrap;
-    out.correct = true;
-    out.latency = r.instructions > trigger ? r.instructions - trigger : 0;
   }
   return out;
 }
@@ -285,27 +303,15 @@ Result<InjectionOutcome> FaultInjector::InjectXkeyBitFlip(const std::string& op,
   if (!orig_key.ok()) {
     return orig_key.status();
   }
-  KRX_RETURN_IF_ERROR(ResetForRun());
-  uint64_t retired = 0;
-  cpu_->set_step_observer([&](const Cpu&) {
-    if (++retired == trigger) {
-      (void)image->Poke64(*key_addr, *orig_key ^ (1ULL << bit));
-    }
-  });
-  RunResult r = cpu_->CallFunction(op, {buffer_vaddr_});
-  cpu_->set_step_observer(nullptr);
+  auto r = RunArmed(op, trigger,
+                    [&] { (void)image->Poke64(*key_addr, *orig_key ^ (1ULL << bit)); });
+  KRX_RETURN_IF_ERROR(r.status());
   KRX_RETURN_IF_ERROR(image->Poke64(*key_addr, *orig_key));
 
-  out.exception = r.exception;
-  out.krx_violation = r.krx_violation;
-  out.detect_step = r.instructions;
-  if (r.reason == StopReason::kException &&
-      (r.exception == ExceptionKind::kPageFault ||
-       r.exception == ExceptionKind::kGeneralProtection)) {
-    out.detection = Detection::kTrap;
-    out.correct = true;
-    out.latency = r.instructions > trigger ? r.instructions - trigger : 0;
-  }
+  const bool trapped = r->reason == StopReason::kException &&
+                       (r->exception == ExceptionKind::kPageFault ||
+                        r->exception == ExceptionKind::kGeneralProtection);
+  RecordStop(*r, trapped, &out);
   return out;
 }
 
@@ -334,28 +340,20 @@ Result<InjectionOutcome> FaultInjector::InjectPtePresentClear(const std::string&
     return NotFoundError("buffer page not mapped: " + Hex(page_vaddr));
   }
   const PteFlags saved = pte->flags;
-  KRX_RETURN_IF_ERROR(ResetForRun());
-  uint64_t retired = 0;
-  cpu_->set_step_observer([&](const Cpu&) {
-    if (++retired == trigger) {
-      pte->flags.present = false;
-      image->page_table().BumpGeneration();
-    }
+  auto r = RunArmed(op, trigger, [&] {
+    pte->flags.present = false;
+    image->page_table().BumpGeneration();
   });
-  RunResult r = cpu_->CallFunction(op, {buffer_vaddr_});
-  cpu_->set_step_observer(nullptr);
   pte->flags = saved;
   image->page_table().BumpGeneration();
+  KRX_RETURN_IF_ERROR(r.status());
 
-  out.exception = r.exception;
-  out.krx_violation = r.krx_violation;
-  out.detect_step = r.instructions;
-  if (r.reason == StopReason::kException && r.exception == ExceptionKind::kPageFault &&
-      r.fault_addr >= buffer_vaddr_ && r.fault_addr < buffer_vaddr_ + kOpBufferBytes) {
-    out.detection = Detection::kTrap;
-    out.correct = true;
-    out.latency = r.instructions > trigger ? r.instructions - trigger : 0;
-  } else if (r.reason == StopReason::kReturned && r.rax == g.rax) {
+  const bool trapped = r->reason == StopReason::kException &&
+                       r->exception == ExceptionKind::kPageFault &&
+                       r->fault_addr >= buffer_vaddr_ &&
+                       r->fault_addr < buffer_vaddr_ + kOpBufferBytes;
+  RecordStop(*r, trapped, &out);
+  if (r->reason == StopReason::kReturned && r->rax == g.rax) {
     // The op no longer touched that page after the trigger: proven benign
     // by reproducing the golden result.
     out.detection = Detection::kBenign;
@@ -389,27 +387,20 @@ Result<InjectionOutcome> FaultInjector::InjectPteWxSet(const std::string& op, Rn
     return NotFoundError("text page not mapped: " + Hex(victim_rip));
   }
   const PteFlags saved = pte->flags;
-  KRX_RETURN_IF_ERROR(ResetForRun());
-  uint64_t retired = 0;
-  cpu_->set_step_observer([&](const Cpu&) {
-    if (++retired == trigger) {
-      pte->flags.writable = true;
-      image->page_table().BumpGeneration();
-    }
+  auto r = RunArmed(op, trigger, [&] {
+    pte->flags.writable = true;
+    image->page_table().BumpGeneration();
   });
-  RunResult r = cpu_->CallFunction(op, {buffer_vaddr_});
-  cpu_->set_step_observer(nullptr);
 
   // Execution must be unaffected; only the W^X page-table audit can see
   // this fault. Run the audit before restoring the bit.
   const bool audit_caught = !image->page_table().FindWxViolations().empty();
   pte->flags = saved;
   image->page_table().BumpGeneration();
+  KRX_RETURN_IF_ERROR(r.status());
 
-  out.exception = r.exception;
-  out.krx_violation = r.krx_violation;
-  out.detect_step = r.instructions;
-  if (audit_caught && r.reason == StopReason::kReturned && r.rax == g.rax) {
+  RecordStop(*r, /*trapped=*/false, &out);
+  if (audit_caught && r->reason == StopReason::kReturned && r->rax == g.rax) {
     out.detection = Detection::kAudit;
     out.correct = true;
   }
@@ -445,27 +436,13 @@ Result<InjectionOutcome> FaultInjector::InjectTextCorruption(const std::string& 
   KernelImage* image = kernel_->image.get();
   uint8_t orig = 0;
   KRX_RETURN_IF_ERROR(image->PeekBytes(victim, &orig, 1));
-  KRX_RETURN_IF_ERROR(ResetForRun());
-  uint64_t retired = 0;
-  cpu_->set_step_observer([&](const Cpu&) {
-    if (++retired == trigger) {
-      (void)image->PokeBytes(victim, &evil, 1);
-    }
-  });
-  RunResult r = cpu_->CallFunction(op, {buffer_vaddr_});
-  cpu_->set_step_observer(nullptr);
+  auto r = RunArmed(op, trigger, [&] { (void)image->PokeBytes(victim, &evil, 1); });
+  KRX_RETURN_IF_ERROR(r.status());
   KRX_RETURN_IF_ERROR(image->PokeBytes(victim, &orig, 1));
 
-  out.exception = r.exception;
-  out.krx_violation = r.krx_violation;
-  out.detect_step = r.instructions;
   const ExceptionKind expected =
       int3 ? ExceptionKind::kBreakpoint : ExceptionKind::kInvalidOpcode;
-  if (r.reason == StopReason::kException && r.exception == expected) {
-    out.detection = Detection::kTrap;
-    out.correct = true;
-    out.latency = r.instructions > trigger ? r.instructions - trigger : 0;
-  }
+  RecordStop(*r, r->reason == StopReason::kException && r->exception == expected, &out);
   return out;
 }
 
@@ -492,19 +469,11 @@ Result<InjectionOutcome> FaultInjector::InjectDisclosureRead(Rng& rng) {
   KRX_RETURN_IF_ERROR(ResetForRun());
   RunResult r = cpu_->CallFunction("debugfs_leak_read", {target});
 
-  out.exception = r.exception;
-  out.krx_violation = r.krx_violation;
-  out.detect_step = r.instructions;
-  out.latency = r.instructions;
-  if (kernel_->config.mpx) {
-    out.correct =
-        r.reason == StopReason::kException && r.exception == ExceptionKind::kBoundRange;
-  } else {
-    out.correct = r.reason == StopReason::kHalted && r.krx_violation;
-  }
-  if (out.correct) {
-    out.detection = Detection::kTrap;
-  }
+  // Nothing is armed: the leak is the fault, so its latency is the whole run.
+  const bool trapped = kernel_->config.mpx ? r.reason == StopReason::kException &&
+                                                 r.exception == ExceptionKind::kBoundRange
+                                           : r.reason == StopReason::kHalted && r.krx_violation;
+  RecordStop(r, trapped, &out);
   return out;
 }
 

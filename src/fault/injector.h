@@ -35,6 +35,7 @@
 #define KRX_SRC_FAULT_INJECTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -118,6 +119,17 @@ class FaultInjector {
   // Resets registers + flags and refills the scratch buffer so every run
   // starts from identical machine state.
   Status ResetForRun();
+  // Resets, runs `op` on the scratch buffer with `observer` called after
+  // every retired instruction, and clears the observer.
+  Result<RunResult> RunObserved(const std::string& op, std::function<void(const Cpu&)> observer);
+  // An armed run: RunObserved with `fire` landing the fault once `trigger`
+  // instructions have retired.
+  Result<RunResult> RunArmed(const std::string& op, uint64_t trigger,
+                             const std::function<void()>& fire);
+  // Fills the outcome fields every class shares from where the run stopped;
+  // `trapped` (the class's trap contract held) makes it a correct kTrap
+  // caught `latency` instructions after `out->trigger_step`.
+  static void RecordStop(const RunResult& r, bool trapped, InjectionOutcome* out);
 
   // The per-class dispatch behind Inject (which wraps it with telemetry).
   Result<InjectionOutcome> InjectDispatch(FaultClass cls, const std::string& op_symbol,

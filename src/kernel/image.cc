@@ -265,36 +265,48 @@ bool KernelImage::InCodeRegion(uint64_t addr) const {
   return addr >= krx_edata_;
 }
 
+Result<RelocField> ResolveReloc(const Reloc& r, uint64_t section_base,
+                                const SymbolTable& symbols) {
+  if (r.symbol < 0 || static_cast<size_t>(r.symbol) >= symbols.size()) {
+    return InternalError("relocation against invalid symbol index");
+  }
+  const Symbol& sym = symbols.at(r.symbol);
+  if (!sym.defined) {
+    return NotFoundError("relocation against undefined symbol: " + sym.name);
+  }
+  RelocField field;
+  switch (r.kind) {
+    case RelocKind::kRel32: {
+      int64_t rel = static_cast<int64_t>(sym.address) -
+                    static_cast<int64_t>(section_base + r.inst_end_offset);
+      if (rel < INT32_MIN || rel > INT32_MAX) {
+        return OutOfRangeError("rel32 overflow to symbol " + sym.name +
+                               " (violates -mcmodel=kernel 2GB constraint)");
+      }
+      int32_t rel32 = static_cast<int32_t>(rel);
+      std::memcpy(field.bytes, &rel32, 4);
+      field.size = 4;
+      break;
+    }
+    case RelocKind::kAbs64: {
+      uint64_t value = sym.address + static_cast<uint64_t>(r.addend);
+      std::memcpy(field.bytes, &value, 8);
+      field.size = 8;
+      break;
+    }
+  }
+  return field;
+}
+
 Status ApplyRelocs(std::vector<uint8_t>& bytes, const std::vector<Reloc>& relocs,
                    uint64_t section_base, const SymbolTable& symbols) {
   for (const Reloc& r : relocs) {
-    if (r.symbol < 0 || static_cast<size_t>(r.symbol) >= symbols.size()) {
-      return InternalError("relocation against invalid symbol index");
+    Result<RelocField> field = ResolveReloc(r, section_base, symbols);
+    if (!field.ok()) {
+      return field.status();
     }
-    const Symbol& sym = symbols.at(r.symbol);
-    if (!sym.defined) {
-      return NotFoundError("relocation against undefined symbol: " + sym.name);
-    }
-    switch (r.kind) {
-      case RelocKind::kRel32: {
-        int64_t rel = static_cast<int64_t>(sym.address) -
-                      static_cast<int64_t>(section_base + r.inst_end_offset);
-        if (rel < INT32_MIN || rel > INT32_MAX) {
-          return OutOfRangeError("rel32 overflow to symbol " + sym.name +
-                                 " (violates -mcmodel=kernel 2GB constraint)");
-        }
-        int32_t rel32 = static_cast<int32_t>(rel);
-        KRX_CHECK(r.field_offset + 4 <= bytes.size());
-        std::memcpy(bytes.data() + r.field_offset, &rel32, 4);
-        break;
-      }
-      case RelocKind::kAbs64: {
-        KRX_CHECK(r.field_offset + 8 <= bytes.size());
-        uint64_t value = sym.address + static_cast<uint64_t>(r.addend);
-        std::memcpy(bytes.data() + r.field_offset, &value, 8);
-        break;
-      }
-    }
+    KRX_CHECK(r.field_offset + field->size <= bytes.size());
+    std::memcpy(bytes.data() + r.field_offset, field->bytes, field->size);
   }
   return Status::Ok();
 }

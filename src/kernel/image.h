@@ -197,6 +197,18 @@ struct KernelLinkInput {
 Result<std::unique_ptr<KernelImage>> LinkKernel(LayoutKind layout, KernelLinkInput input,
                                                 SymbolTable symbols);
 
+// The bytes one relocated field holds, little-endian: 4 for kRel32, 8 for
+// kAbs64.
+struct RelocField {
+  uint8_t bytes[8] = {};
+  uint32_t size = 0;
+};
+
+// Resolves `r` for a section placed at `section_base`. Fails on an invalid
+// or undefined symbol and on a rel32 displacement out of range.
+Result<RelocField> ResolveReloc(const Reloc& r, uint64_t section_base,
+                                const SymbolTable& symbols);
+
 // Applies `relocs` to `bytes` given the final section base address.
 Status ApplyRelocs(std::vector<uint8_t>& bytes, const std::vector<Reloc>& relocs,
                    uint64_t section_base, const SymbolTable& symbols);

@@ -22,63 +22,58 @@ const char* ModuleLoadStepName(ModuleLoadStep step) {
   return "??";
 }
 
-namespace {
-
-// Tracks everything a partially executed Load has changed, so a failure at
-// any step can be unwound completely.
-struct LoadTransaction {
-  KernelImage* image;
-  KernelImage::ModuleCursors saved_cursors;
-  std::vector<int32_t> defined_symbols;
-  bool text_placed = false;
-  bool data_placed = false;
-  bool synonyms_unmapped = false;
-  uint64_t synonym_frame = 0;
-  uint64_t synonym_pages = 0;
-  std::string text_section;
-  std::string data_section;
-
-  void Rollback() {
-    if (synonyms_unmapped) {
-      PteFlags f;
-      f.present = true;
-      f.writable = true;
-      f.nx = true;
-      image->page_table().MapRange(image->PhysmapVaddr(synonym_frame), synonym_frame,
-                                   synonym_pages, f);
+Status ModuleLoader::Teardown(const LoadedModule& lm, const Placed& placed) {
+  // Zap the text contents before the pages become reachable again, to
+  // prevent code-layout inference attacks (§5.1.1 "Physmap"): unmap the
+  // module's text from the code region, fill the frames with the tripwire
+  // pad byte, and drop the section record.
+  if (placed.text) {
+    KRX_RETURN_IF_ERROR(image_->RemoveSection(".text$" + lm.name, kTextPadByte));
+    // Destroy the key material outright: the xkey tail is zeroed, not
+    // merely padded, so no stale return-address keys survive.
+    if (lm.xkey_bytes > 0) {
+      const uint64_t xkeys_start = lm.text_size - lm.xkey_bytes;
+      image_->phys().Fill((lm.text_first_frame << kPageShift) + xkeys_start, 0, lm.xkey_bytes);
     }
-    // Placed sections: unmap and zap (text gets the tripwire pad byte, as
-    // unload does, so no partially loaded code survives).
-    if (text_placed) {
-      (void)image->RemoveSection(text_section, kTextPadByte);
-    }
-    if (data_placed) {
-      (void)image->RemoveSection(data_section, 0);
-    }
-    for (int32_t idx : defined_symbols) {
-      Symbol& s = image->symbols().at(idx);
-      s.defined = false;
-      s.address = 0;
-      s.size = 0;
-    }
-    image->RestoreModuleCursors(saved_cursors);
   }
-};
-
-}  // namespace
+  // The data section goes away with the module as well.
+  if (placed.data) {
+    KRX_RETURN_IF_ERROR(image_->RemoveSection(".data$" + lm.name, 0));
+  }
+  // Restore the physmap synonyms of the (now zapped) text frames.
+  if (placed.synonyms_unmapped) {
+    PteFlags f;
+    f.present = true;
+    f.writable = true;
+    f.nx = true;
+    image_->page_table().MapRange(image_->PhysmapVaddr(lm.text_first_frame), lm.text_first_frame,
+                                  lm.text_pages, f);
+  }
+  // Remove the module's symbols from the namespace.
+  for (int32_t idx : lm.symbols) {
+    Symbol& s = image_->symbols().at(idx);
+    s.defined = false;
+    s.address = 0;
+    s.size = 0;
+  }
+  return Status::Ok();
+}
 
 Result<int32_t> ModuleLoader::Load(const ModuleObject& module) {
   SymbolTable& symbols = image_->symbols();
 
   KRX_TRACE_SPAN_SCOPED("module.load");
-  LoadTransaction txn;
-  txn.image = image_;
-  txn.saved_cursors = image_->module_cursors();
-  txn.text_section = ".text$" + module.name;
-  txn.data_section = ".data$" + module.name;
+  // `lm` and `placed` grow with the load, so a failure at any step tears
+  // down exactly what was placed so far (as Unload would) and gives the
+  // bump cursors back.
+  const KernelImage::ModuleCursors saved_cursors = image_->module_cursors();
+  LoadedModule lm;
+  lm.name = module.name;
+  Placed placed;
 
   auto fail = [&](Status status) -> Status {
-    txn.Rollback();
+    (void)Teardown(lm, placed);
+    image_->RestoreModuleCursors(saved_cursors);
     KRX_COUNTER_ADD("module.load_failures", 1);
     return status;
   };
@@ -120,8 +115,6 @@ Result<int32_t> ModuleLoader::Load(const ModuleObject& module) {
     return fail(data_vaddr.status());
   }
 
-  LoadedModule lm;
-  lm.name = module.name;
   lm.text_vaddr = *text_vaddr;
   lm.text_size = module.text.bytes.size();
   lm.data_vaddr = *data_vaddr;
@@ -143,7 +136,7 @@ Result<int32_t> ModuleLoader::Load(const ModuleObject& module) {
     s.defined = true;
     s.address = address;
     s.size = size;
-    txn.defined_symbols.push_back(idx);
+    lm.symbols.push_back(idx);
     return Status::Ok();
   };
   // Non-function text symbols (module xkeys) first.
@@ -181,24 +174,24 @@ Result<int32_t> ModuleLoader::Load(const ModuleObject& module) {
   if (Status s = failpoint(ModuleLoadStep::kPlaceText); !s.ok()) {
     return fail(s);
   }
-  auto text_sec = image_->PlaceSection(txn.text_section, SectionKind::kText, *text_vaddr,
+  auto text_sec = image_->PlaceSection(".text$" + module.name, SectionKind::kText, *text_vaddr,
                                        text_bytes);
   if (!text_sec.ok()) {
     return fail(text_sec.status());
   }
-  txn.text_placed = true;
+  placed.text = true;
   lm.text_first_frame = (*text_sec)->first_frame;
   lm.text_pages = (*text_sec)->mapped_size >> kPageShift;
   if (!data_bytes.empty()) {
     if (Status s = failpoint(ModuleLoadStep::kPlaceData); !s.ok()) {
       return fail(s);
     }
-    auto data_sec = image_->PlaceSection(txn.data_section, SectionKind::kData, *data_vaddr,
-                                         data_bytes);
+    auto data_sec = image_->PlaceSection(".data$" + module.name, SectionKind::kData,
+                                         *data_vaddr, data_bytes);
     if (!data_sec.ok()) {
       return fail(data_sec.status());
     }
-    txn.data_placed = true;
+    placed.data = true;
   }
 
   // Replenish the module's xkeys with fresh random values (load-time
@@ -225,12 +218,9 @@ Result<int32_t> ModuleLoader::Load(const ModuleObject& module) {
       return fail(s);
     }
     image_->page_table().UnmapRange(image_->PhysmapVaddr(lm.text_first_frame), lm.text_pages);
-    txn.synonyms_unmapped = true;
-    txn.synonym_frame = lm.text_first_frame;
-    txn.synonym_pages = lm.text_pages;
+    placed.synonyms_unmapped = true;
   }
 
-  lm.symbols = std::move(txn.defined_symbols);
   lm.loaded = true;
   modules_.push_back(std::move(lm));
   const int32_t handle = static_cast<int32_t>(modules_.size() - 1);
@@ -249,40 +239,9 @@ Status ModuleLoader::Unload(int32_t handle) {
     return FailedPreconditionError("module already unloaded");
   }
 
-  // Zap the text contents before the pages become reachable again, to
-  // prevent code-layout inference attacks (§5.1.1 "Physmap"): unmap the
-  // module's text from the code region, fill the frames with the tripwire
-  // pad byte, and drop the section record.
-  KRX_RETURN_IF_ERROR(image_->RemoveSection(".text$" + lm.name, kTextPadByte));
-
-  // Destroy the key material outright: the xkey tail is zeroed, not merely
-  // padded, so no stale return-address keys survive an unload.
-  if (lm.xkey_bytes > 0) {
-    uint64_t xkeys_start = lm.text_size - lm.xkey_bytes;
-    image_->phys().Fill((lm.text_first_frame << kPageShift) + xkeys_start, 0, lm.xkey_bytes);
-  }
-
-  // The data section goes away with the module as well.
-  if (lm.data_size > 0) {
-    KRX_RETURN_IF_ERROR(image_->RemoveSection(".data$" + lm.name, 0));
-  }
-
-  // Restore the physmap synonyms.
-  if (image_->layout() == LayoutKind::kKrx) {
-    PteFlags f;
-    f.present = true;
-    f.writable = true;
-    f.nx = true;
-    image_->page_table().MapRange(image_->PhysmapVaddr(lm.text_first_frame), lm.text_first_frame,
-                                  lm.text_pages, f);
-  }
-
-  // Remove the module's symbols from the namespace.
-  for (int32_t idx : lm.symbols) {
-    Symbol& s = image_->symbols().at(idx);
-    s.defined = false;
-    s.address = 0;
-  }
+  KRX_RETURN_IF_ERROR(Teardown(lm, Placed{/*text=*/true, /*data=*/lm.data_size > 0,
+                                           /*synonyms_unmapped=*/image_->layout() ==
+                                               LayoutKind::kKrx}));
   lm.text_relocs.clear();
   lm.data_relocs.clear();
   lm.loaded = false;

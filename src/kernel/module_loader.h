@@ -97,6 +97,20 @@ class ModuleLoader {
   size_t module_count() const { return modules_.size(); }
 
  private:
+  // What a module has placed so far. A failed load passes its progress;
+  // Unload passes the whole of a loaded module.
+  struct Placed {
+    bool text = false;               // .text$<name> mapped in the code region
+    bool data = false;               // .data$<name> mapped
+    bool synonyms_unmapped = false;  // text frames' physmap synonyms removed
+  };
+
+  // The one teardown, in Unload's order: zap the text with the pad byte,
+  // zero the xkey tail, drop the data section, remap the physmap synonyms,
+  // undefine `lm.symbols`. The bump cursors are the failed load's to
+  // restore.
+  Status Teardown(const LoadedModule& lm, const Placed& placed);
+
   KernelImage* image_;
   Rng key_rng_;
   std::vector<LoadedModule> modules_;

@@ -271,44 +271,50 @@ Result<uint64_t> Mmu::Translate(uint64_t vaddr, Access access) {
 }
 
 Result<uint64_t> Mmu::Read64(uint64_t vaddr) {
-  // Handle potential page-boundary crossing bytewise when unaligned.
-  if (PageOffset(vaddr) + 8 <= kPageSize) {
-    auto pa = Translate(vaddr, Access::kRead);
-    if (!pa.ok()) {
-      return pa.status();
-    }
+  auto pa = Translate(vaddr, Access::kRead);
+  if (!pa.ok()) {
+    return pa.status();
+  }
+  const uint64_t n = kPageSize - PageOffset(vaddr);  // bytes on the first page
+  if (n >= 8) {
     return phys_->Read64(*pa);
   }
+  // Crossing a page boundary: the rest of the value sits on the next page,
+  // walked once.
+  auto pa_hi = Translate(vaddr + n, Access::kRead);
+  if (!pa_hi.ok()) {
+    return pa_hi.status();
+  }
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    auto pa = Translate(vaddr + static_cast<uint64_t>(i), Access::kRead);
-    if (!pa.ok()) {
-      return pa.status();
-    }
-    v |= static_cast<uint64_t>(phys_->Read8(*pa)) << (8 * i);
+  for (uint64_t i = 0; i < 8; ++i) {
+    const uint64_t p = i < n ? *pa + i : *pa_hi + (i - n);
+    v |= static_cast<uint64_t>(phys_->Read8(p)) << (8 * i);
   }
   return v;
 }
 
 Result<StoreFrames> Mmu::Write64(uint64_t vaddr, uint64_t value) {
-  if (PageOffset(vaddr) + 8 <= kPageSize) {
-    auto pa = Translate(vaddr, Access::kWrite);
-    if (!pa.ok()) {
-      return pa.status();
-    }
+  auto pa = Translate(vaddr, Access::kWrite);
+  if (!pa.ok()) {
+    return pa.status();
+  }
+  const uint64_t n = kPageSize - PageOffset(vaddr);  // bytes on the first page
+  if (n >= 8) {
     phys_->Write64(*pa, value);
     return StoreFrames{*pa >> kPageShift, *pa >> kPageShift};
   }
-  StoreFrames frames;
-  for (int i = 0; i < 8; ++i) {
-    auto pa = Translate(vaddr + static_cast<uint64_t>(i), Access::kWrite);
-    if (!pa.ok()) {
-      return pa.status();
-    }
-    phys_->Write8(*pa, static_cast<uint8_t>(value >> (8 * i)));
-    (i == 0 ? frames.first : frames.last) = *pa >> kPageShift;
+  // Crossing a page boundary: both pages are walked before any byte is
+  // written, so a store whose second page faults writes nothing (x86 raises
+  // the #PF before the store commits).
+  auto pa_hi = Translate(vaddr + n, Access::kWrite);
+  if (!pa_hi.ok()) {
+    return pa_hi.status();
   }
-  return frames;
+  for (uint64_t i = 0; i < 8; ++i) {
+    const uint64_t p = i < n ? *pa + i : *pa_hi + (i - n);
+    phys_->Write8(p, static_cast<uint8_t>(value >> (8 * i)));
+  }
+  return StoreFrames{*pa >> kPageShift, *pa_hi >> kPageShift};
 }
 
 Result<uint64_t> Mmu::FetchCode(uint64_t vaddr, uint8_t* buf, uint64_t len) {

@@ -222,8 +222,9 @@ class Mmu {
   Result<uint64_t> Translate(uint64_t vaddr, Access access);
 
   // Data accessors (raise faults via Result). Multi-byte accesses may cross
-  // page boundaries; a crossing store that faults on its second page has
-  // already written the bytes before it.
+  // page boundaries: each page is walked once, and a crossing store checks
+  // both pages before it writes any byte, so a store that faults on its
+  // second page leaves the first unchanged.
   Result<uint64_t> Read64(uint64_t vaddr);
   Result<StoreFrames> Write64(uint64_t vaddr, uint64_t value);
 

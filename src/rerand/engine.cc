@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <unordered_map>
 
 #include "src/cpu/cpu.h"
@@ -79,6 +81,23 @@ struct RerandEngine::Layout {
   uint64_t moved = 0;
 };
 
+// What one epoch's steps share: the gate held, the pre-epoch snapshots the
+// rollback restores and the address mapping reads, the drawn layout, the
+// keys before and after rotation, the write journal, and the report.
+struct RerandEngine::Epoch {
+  explicit Epoch(EpochReport* r) : report(r) {}
+
+  EpochReport* report;
+  std::optional<QuiesceExclusiveScope> quiesced;  // released when the epoch ends
+  std::chrono::steady_clock::time_point t_quiesced;
+  std::chrono::steady_clock::time_point t_step;  // the last step mark's instant
+  std::vector<uint64_t> old_symbol_addrs;
+  std::vector<uint64_t> old_offsets;
+  Layout layout;
+  std::vector<uint64_t> old_keys, new_keys;
+  Journal journal;
+};
+
 RerandEngine::RerandEngine(CompiledKernel* kernel, RerandOptions options)
     : kernel_(kernel), map_(kernel->rerand.get()), options_(options), rng_(options.seed) {
   KRX_CHECK(kernel_ != nullptr && kernel_->image != nullptr);
@@ -100,7 +119,36 @@ Status RerandEngine::CheckFailpoint(RerandStep step) {
   return Status::Ok();
 }
 
-Status RerandEngine::DrawLayout(Layout* layout) {
+Status RerandEngine::Quiesce(Epoch& e) {
+  const auto t_request = std::chrono::steady_clock::now();
+  e.quiesced.emplace(&gate_, options_.quiesce_timeout_ms);
+  if (!e.quiesced->acquired()) {
+    KRX_COUNTER_ADD("rerand.quiesce_timeouts", 1);
+    return FailedPreconditionError("rerand: quiesce did not drain within " +
+                                   std::to_string(options_.quiesce_timeout_ms) +
+                                   "ms; epoch aborted");
+  }
+  e.t_quiesced = std::chrono::steady_clock::now();
+  e.t_step = e.t_quiesced;  // the wait is quiesce_wait_ms, not the step's mark
+  e.report->quiesce_wait_ms =
+      std::chrono::duration<double, std::milli>(e.t_quiesced - t_request).count();
+
+  // Snapshots for rollback and for old->new address mapping.
+  const SymbolTable& syms = kernel_->image->symbols();
+  e.old_symbol_addrs.resize(syms.size());
+  for (size_t i = 0; i < syms.size(); ++i) {
+    e.old_symbol_addrs[i] = syms.at(static_cast<int32_t>(i)).address;
+  }
+  e.old_offsets.resize(map_->functions.size());
+  for (size_t i = 0; i < map_->functions.size(); ++i) {
+    e.old_offsets[i] = map_->functions[i].current_offset;
+  }
+  return Status::Ok();
+}
+
+Status RerandEngine::Relayout(Epoch& e) {
+  if (!options_.permute || map_->functions.empty()) return Status::Ok();
+  Layout& layout = e.layout;
   const auto& fns = map_->functions;
   const uint64_t capacity = map_->text_content_size;
   const size_t n = fns.size();
@@ -150,17 +198,19 @@ Status RerandEngine::DrawLayout(Layout* layout) {
     if (!have_best || moved > best_moved) {
       have_best = true;
       best_moved = moved;
-      layout->new_offsets.assign(offsets.begin(), offsets.end());
-      for (auto& off : layout->new_offsets) off += gap;
-      layout->front_gap = gap;
-      layout->moved = moved;
+      layout.new_offsets.assign(offsets.begin(), offsets.end());
+      for (auto& off : layout.new_offsets) off += gap;
+      layout.front_gap = gap;
+      layout.moved = moved;
     }
     if (best_moved == n) break;
   }
   return Status::Ok();
 }
 
-Status RerandEngine::PatchText(const Layout& layout, Journal* journal) {
+Status RerandEngine::PatchText(Epoch& e) {
+  if (!options_.permute || map_->functions.empty()) return Status::Ok();
+  const Layout& layout = e.layout;
   KernelImage& image = *kernel_->image;
   SymbolTable& syms = image.symbols();
   const uint64_t base = map_->text_base;
@@ -176,25 +226,14 @@ Status RerandEngine::PatchText(const Layout& layout, Journal* journal) {
                 map_->pristine->bytes.data() + fns[i].pristine_offset, fns[i].size);
   }
 
-  std::vector<Reloc> shifted;
-  shifted.reserve(map_->pristine->relocs.size());
-  for (const Reloc& r : map_->pristine->relocs) {
-    size_t owner = fns.size();
-    for (size_t i = 0; i < fns.size(); ++i) {
-      if (r.field_offset >= fns[i].pristine_offset &&
-          r.field_offset < fns[i].pristine_offset + fns[i].size) {
-        owner = i;
-        break;
-      }
-    }
-    if (owner == fns.size()) {
-      return InternalError("rerand: text reloc outside every function extent");
-    }
-    Reloc s = r;
+  // Each relocation moves with the function that owns it (recorded when
+  // the pristine text was captured).
+  std::vector<Reloc> shifted = map_->pristine->relocs;
+  for (size_t j = 0; j < shifted.size(); ++j) {
+    const uint32_t owner = map_->pristine->reloc_owners[j];
     const uint64_t delta = layout.new_offsets[owner] - fns[owner].pristine_offset;
-    s.field_offset += delta;
-    s.inst_end_offset += delta;
-    shifted.push_back(s);
+    shifted[j].field_offset += delta;
+    shifted[j].inst_end_offset += delta;
   }
 
   // New function addresses must be bound before relocation (calls between
@@ -203,42 +242,44 @@ Status RerandEngine::PatchText(const Layout& layout, Journal* journal) {
     syms.at(fns[i].symbol).address = base + layout.new_offsets[i];
   }
   KRX_RETURN_IF_ERROR(ApplyRelocs(content, shifted, base, syms));
-  KRX_RETURN_IF_ERROR(journal->Poke(image, base, content.data(), content.size()));
+  KRX_RETURN_IF_ERROR(e.journal.Poke(image, base, content.data(), content.size()));
   for (size_t i = 0; i < fns.size(); ++i) {
     map_->functions[i].current_offset = layout.new_offsets[i];
   }
+  e.report->functions_moved = layout.moved;
+  e.report->front_gap = layout.front_gap;
   return Status::Ok();
 }
 
-Status RerandEngine::RotateKeys(std::vector<uint64_t>* old_keys, std::vector<uint64_t>* new_keys,
-                                Journal* journal, EpochReport* report) {
+Status RerandEngine::RotateKeys(Epoch& e) {
   KernelImage& image = *kernel_->image;
   const auto& slots = map_->xkey_slots;
-  old_keys->resize(slots.size());
-  new_keys->resize(slots.size());
+  e.old_keys.resize(slots.size());
+  e.new_keys.resize(slots.size());
   for (size_t k = 0; k < slots.size(); ++k) {
     auto cur = image.Peek64(slots[k].vaddr);
     KRX_RETURN_IF_ERROR(cur.status());
-    (*old_keys)[k] = *cur;
+    e.old_keys[k] = *cur;
     if (options_.rotate_xkeys) {
       uint64_t nk;
       do {
         nk = rng_.Next();
       } while (nk == 0 || nk == *cur);  // key must change and stay nonzero
-      KRX_RETURN_IF_ERROR(journal->Poke64(image, slots[k].vaddr, nk));
-      (*new_keys)[k] = nk;
-      ++report->keys_rotated;
+      KRX_RETURN_IF_ERROR(e.journal.Poke64(image, slots[k].vaddr, nk));
+      e.new_keys[k] = nk;
+      ++e.report->keys_rotated;
     } else {
-      (*new_keys)[k] = *cur;
+      e.new_keys[k] = *cur;
     }
   }
   return Status::Ok();
 }
 
-Status RerandEngine::RewriteStacks(const std::vector<uint64_t>& old_offsets,
-                                   const std::vector<uint64_t>& old_keys,
-                                   const std::vector<uint64_t>& new_keys, Journal* journal,
-                                   EpochReport* report) {
+Status RerandEngine::RewriteStacks(Epoch& e) {
+  const std::vector<uint64_t>& old_offsets = e.old_offsets;
+  const std::vector<uint64_t>& old_keys = e.old_keys;
+  const std::vector<uint64_t>& new_keys = e.new_keys;
+  EpochReport* report = e.report;
   KernelImage& image = *kernel_->image;
   const auto& fns = map_->functions;
   const uint64_t base = map_->text_base;
@@ -278,9 +319,9 @@ Status RerandEngine::RewriteStacks(const std::vector<uint64_t>& old_offsets,
       std::vector<uint64_t> candidates;
       // Plaintext code pointer into a moved function (unencrypted return
       // addresses of exempt functions, spawned-task entry points, ...).
-      for (const Extent& e : extents) {
-        if (w >= e.lo && w < e.hi) {
-          candidates.push_back(base + fns[e.fn].current_offset + (w - e.lo));
+      for (const Extent& ext : extents) {
+        if (w >= ext.lo && w < ext.hi) {
+          candidates.push_back(base + fns[ext.fn].current_offset + (w - ext.lo));
           break;
         }
       }
@@ -303,7 +344,7 @@ Status RerandEngine::RewriteStacks(const std::vector<uint64_t>& old_offsets,
         return InternalError("rerand: ambiguous stack word at " + std::to_string(addr));
       }
       if (candidates[0] != w) {
-        KRX_RETURN_IF_ERROR(journal->Poke64(image, addr, candidates[0]));
+        KRX_RETURN_IF_ERROR(e.journal.Poke64(image, addr, candidates[0]));
         ++report->stack_words_rewritten;
       }
     }
@@ -311,104 +352,93 @@ Status RerandEngine::RewriteStacks(const std::vector<uint64_t>& old_offsets,
   return Status::Ok();
 }
 
-Status RerandEngine::PatchPointers(const std::vector<uint64_t>& old_symbol_addrs,
-                                   Journal* journal, EpochReport* report) {
+Status RerandEngine::PatchPointers(Epoch& e) {
   KernelImage& image = *kernel_->image;
   const SymbolTable& syms = image.symbols();
   for (const RerandPtrSite& site : map_->ptr_sites) {
-    const uint64_t expected = old_symbol_addrs[static_cast<size_t>(site.symbol)] +
+    const uint64_t expected = e.old_symbol_addrs[static_cast<size_t>(site.symbol)] +
                               static_cast<uint64_t>(site.addend);
     auto cur = image.Peek64(site.vaddr);
     KRX_RETURN_IF_ERROR(cur.status());
     if (*cur != expected) {
       // The guest overwrote this slot at runtime; it no longer holds the
       // address we initialized it with, so it is not ours to repatch.
-      ++report->ptr_sites_skipped;
+      ++e.report->ptr_sites_skipped;
       continue;
     }
     const uint64_t fresh = syms.at(site.symbol).address + static_cast<uint64_t>(site.addend);
     if (fresh != *cur) {
-      KRX_RETURN_IF_ERROR(journal->Poke64(image, site.vaddr, fresh));
-      ++report->ptr_sites_patched;
+      KRX_RETURN_IF_ERROR(e.journal.Poke64(image, site.vaddr, fresh));
+      ++e.report->ptr_sites_patched;
     }
   }
   return Status::Ok();
 }
 
-Status RerandEngine::PatchModules(const std::vector<uint64_t>& old_symbol_addrs,
-                                  Journal* journal, EpochReport* report) {
+Status RerandEngine::PatchModules(Epoch& e) {
   if (module_loader_ == nullptr) return Status::Ok();
   KernelImage& image = *kernel_->image;
   const SymbolTable& syms = image.symbols();
+  // Writes a relocated field whose bytes change, as the kernel's relocation
+  // code resolves it against the post-epoch symbol addresses.
+  auto repatch = [&](const Reloc& r, uint64_t section_base) -> Status {
+    auto field = ResolveReloc(r, section_base, syms);
+    KRX_RETURN_IF_ERROR(field.status());
+    uint8_t cur[sizeof(RelocField::bytes)];
+    KRX_RETURN_IF_ERROR(image.PeekBytes(section_base + r.field_offset, cur, field->size));
+    if (std::memcmp(cur, field->bytes, field->size) != 0) {
+      KRX_RETURN_IF_ERROR(
+          e.journal.Poke(image, section_base + r.field_offset, field->bytes, field->size));
+      ++e.report->module_sites_patched;
+    }
+    return Status::Ok();
+  };
   for (size_t h = 0; h < module_loader_->module_count(); ++h) {
     const LoadedModule& lm = module_loader_->module(static_cast<int32_t>(h));
     if (!lm.loaded) continue;
     // Text relocations: recomputed unconditionally — module text is
     // guest-immutable under R^X, so the fields still hold what we linked.
     for (const Reloc& r : lm.text_relocs) {
-      const Symbol& sym = syms.at(r.symbol);
-      switch (r.kind) {
-        case RelocKind::kRel32: {
-          int64_t rel = static_cast<int64_t>(sym.address) -
-                        static_cast<int64_t>(lm.text_vaddr + r.inst_end_offset);
-          if (rel < INT32_MIN || rel > INT32_MAX) {
-            return OutOfRangeError("rerand: module rel32 overflow to " + sym.name);
-          }
-          int32_t rel32 = static_cast<int32_t>(rel);
-          uint8_t le[4];
-          std::memcpy(le, &rel32, 4);
-          uint8_t old[4];
-          KRX_RETURN_IF_ERROR(image.PeekBytes(lm.text_vaddr + r.field_offset, old, 4));
-          if (std::memcmp(old, le, 4) != 0) {
-            KRX_RETURN_IF_ERROR(journal->Poke(image, lm.text_vaddr + r.field_offset, le, 4));
-            ++report->module_sites_patched;
-          }
-          break;
-        }
-        case RelocKind::kAbs64: {
-          const uint64_t fresh = sym.address + static_cast<uint64_t>(r.addend);
-          auto cur = image.Peek64(lm.text_vaddr + r.field_offset);
-          KRX_RETURN_IF_ERROR(cur.status());
-          if (*cur != fresh) {
-            KRX_RETURN_IF_ERROR(journal->Poke64(image, lm.text_vaddr + r.field_offset, fresh));
-            ++report->module_sites_patched;
-          }
-          break;
-        }
-      }
+      KRX_RETURN_IF_ERROR(repatch(r, lm.text_vaddr));
     }
     // Data relocations: conditional, like kernel pointer sites — the module
     // may have overwritten its own data at runtime.
     for (const Reloc& r : lm.data_relocs) {
       if (r.kind != RelocKind::kAbs64) continue;
-      const uint64_t expected = old_symbol_addrs[static_cast<size_t>(r.symbol)] +
+      const uint64_t expected = e.old_symbol_addrs[static_cast<size_t>(r.symbol)] +
                                 static_cast<uint64_t>(r.addend);
       auto cur = image.Peek64(lm.data_vaddr + r.field_offset);
       KRX_RETURN_IF_ERROR(cur.status());
       if (*cur != expected) continue;
-      const uint64_t fresh = syms.at(r.symbol).address + static_cast<uint64_t>(r.addend);
-      if (fresh != *cur) {
-        KRX_RETURN_IF_ERROR(journal->Poke64(image, lm.data_vaddr + r.field_offset, fresh));
-        ++report->module_sites_patched;
-      }
+      KRX_RETURN_IF_ERROR(repatch(r, lm.data_vaddr));
     }
   }
   return Status::Ok();
 }
 
-void RerandEngine::Rollback(const Journal& journal,
-                            const std::vector<uint64_t>& old_symbol_addrs,
-                            const std::vector<uint64_t>& old_offsets) {
+Status RerandEngine::Verify(Epoch& e) {
+  if (!options_.verify_after) return Status::Ok();
+  VerifyOptions vo = VerifyOptions::ForConfig(kernel_->config);
+  if (!vo.AnyChecks()) return Status::Ok();
+  VerifyReport vr = VerifyImage(*kernel_->image, vo);
+  if (!vr.ok()) {
+    return InternalError("rerand: post-epoch verification failed:\n" + vr.Summary(8));
+  }
+  e.report->verified = true;
+  return Status::Ok();
+}
+
+void RerandEngine::Rollback(const Epoch& e) {
   KernelImage& image = *kernel_->image;
-  for (auto it = journal.entries.rbegin(); it != journal.entries.rend(); ++it) {
+  for (auto it = e.journal.entries.rbegin(); it != e.journal.entries.rend(); ++it) {
     KRX_CHECK_OK(image.PokeBytes(it->vaddr, it->old_bytes.data(), it->old_bytes.size()));
   }
   SymbolTable& syms = image.symbols();
-  for (size_t i = 0; i < old_symbol_addrs.size(); ++i) {
-    syms.at(static_cast<int32_t>(i)).address = old_symbol_addrs[i];
+  for (size_t i = 0; i < e.old_symbol_addrs.size(); ++i) {
+    syms.at(static_cast<int32_t>(i)).address = e.old_symbol_addrs[i];
   }
-  for (size_t i = 0; i < old_offsets.size(); ++i) {
-    map_->functions[i].current_offset = old_offsets[i];
+  for (size_t i = 0; i < e.old_offsets.size(); ++i) {
+    map_->functions[i].current_offset = e.old_offsets[i];
   }
 }
 
@@ -417,7 +447,7 @@ Result<EpochReport> RerandEngine::RunEpoch(RerandTrigger trigger) {
   KRX_TRACE_SPAN_SCOPED("rerand.epoch");
   EpochReport report;
   report.trigger = trigger;
-  Status st = DoEpoch(trigger, &report);
+  Status st = DoEpoch(&report);
   if (!st.ok()) {
     epoch_failures_.fetch_add(1, std::memory_order_acq_rel);
     KRX_COUNTER_ADD("rerand.epoch_failures", 1);
@@ -434,126 +464,51 @@ Result<EpochReport> RerandEngine::RunEpoch(RerandTrigger trigger) {
   return report;
 }
 
-Status RerandEngine::DoEpoch(RerandTrigger trigger, EpochReport* report) {
-  (void)trigger;
-  KernelImage& image = *kernel_->image;
+Status RerandEngine::DoEpoch(EpochReport* report) {
+  // The pipeline, in order. Each step either completes or fails the epoch,
+  // which rolls back everything journaled so far (nothing before the
+  // quiesce snapshot) and releases the gate.
+  static constexpr struct {
+    RerandStep step;
+    Status (RerandEngine::*run)(Epoch&);
+  } kSteps[] = {
+      {RerandStep::kQuiesce, &RerandEngine::Quiesce},
+      {RerandStep::kRelayout, &RerandEngine::Relayout},
+      {RerandStep::kPatchText, &RerandEngine::PatchText},
+      {RerandStep::kRotateKeys, &RerandEngine::RotateKeys},
+      {RerandStep::kRewriteStacks, &RerandEngine::RewriteStacks},
+      {RerandStep::kPatchPointers, &RerandEngine::PatchPointers},
+      {RerandStep::kPatchModules, &RerandEngine::PatchModules},
+      {RerandStep::kVerify, &RerandEngine::Verify},
+  };
+  static_assert(std::size(kSteps) == static_cast<size_t>(RerandStep::kNumSteps));
 
-  KRX_RETURN_IF_ERROR(CheckFailpoint(RerandStep::kQuiesce));
-  const auto t_request = std::chrono::steady_clock::now();
-  if (options_.quiesce_timeout_ms > 0) {
-    if (!gate_.BeginExclusiveFor(std::chrono::milliseconds(options_.quiesce_timeout_ms))) {
-      KRX_COUNTER_ADD("rerand.quiesce_timeouts", 1);
-      return FailedPreconditionError(
-          "rerand: quiesce did not drain within " +
-          std::to_string(options_.quiesce_timeout_ms) + "ms; epoch aborted");
+  Epoch e(report);
+  for (const auto& [step, run] : kSteps) {
+    Status st = CheckFailpoint(step);
+    if (st.ok()) st = (this->*run)(e);
+    if (!st.ok()) {
+      Rollback(e);
+      return st;
     }
-  } else {
-    gate_.BeginExclusive();
-  }
-  const auto t_quiesced = std::chrono::steady_clock::now();
-  report->quiesce_wait_ms =
-      std::chrono::duration<double, std::milli>(t_quiesced - t_request).count();
-
-  // Per-step trace marks: one kRerandStep event per completed pipeline
-  // step, carrying the step's wall time. Clock reads happen only with
-  // tracing enabled.
-  auto t_step = t_quiesced;
-  auto mark_step = [&](RerandStep step) {
+    // One kRerandStep event per completed step, carrying the step's wall
+    // time. Clock reads happen only with tracing enabled.
     if (telemetry::TraceEnabled()) {
       const auto now = std::chrono::steady_clock::now();
       const uint64_t us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(now - t_step).count());
-      t_step = now;
+          std::chrono::duration_cast<std::chrono::microseconds>(now - e.t_step).count());
+      e.t_step = now;
       telemetry::EmitEvent(telemetry::TraceEventType::kRerandStep, RerandStepName(step),
                            static_cast<uint64_t>(step), us);
     }
-  };
-  mark_step(RerandStep::kQuiesce);
-
-  // Snapshots for rollback and for old->new address mapping.
-  SymbolTable& syms = image.symbols();
-  std::vector<uint64_t> old_symbol_addrs(syms.size());
-  for (size_t i = 0; i < syms.size(); ++i) {
-    old_symbol_addrs[i] = syms.at(static_cast<int32_t>(i)).address;
   }
-  std::vector<uint64_t> old_offsets(map_->functions.size());
-  for (size_t i = 0; i < map_->functions.size(); ++i) {
-    old_offsets[i] = map_->functions[i].current_offset;
-  }
-  Journal journal;
-
-  auto fail = [&](Status s) {
-    Rollback(journal, old_symbol_addrs, old_offsets);
-    gate_.EndExclusive();
-    return s;
-  };
-
-  Status st = CheckFailpoint(RerandStep::kRelayout);
-  if (!st.ok()) return fail(st);
-  Layout layout;
-  layout.new_offsets = old_offsets;
-  if (options_.permute && !map_->functions.empty()) {
-    st = DrawLayout(&layout);
-    if (!st.ok()) return fail(st);
-  }
-  mark_step(RerandStep::kRelayout);
-
-  st = CheckFailpoint(RerandStep::kPatchText);
-  if (!st.ok()) return fail(st);
-  if (options_.permute && !map_->functions.empty()) {
-    st = PatchText(layout, &journal);
-    if (!st.ok()) return fail(st);
-    report->functions_moved = layout.moved;
-    report->front_gap = layout.front_gap;
-  }
-  mark_step(RerandStep::kPatchText);
-
-  st = CheckFailpoint(RerandStep::kRotateKeys);
-  if (!st.ok()) return fail(st);
-  std::vector<uint64_t> old_keys, new_keys;
-  st = RotateKeys(&old_keys, &new_keys, &journal, report);
-  if (!st.ok()) return fail(st);
-  mark_step(RerandStep::kRotateKeys);
-
-  st = CheckFailpoint(RerandStep::kRewriteStacks);
-  if (!st.ok()) return fail(st);
-  st = RewriteStacks(old_offsets, old_keys, new_keys, &journal, report);
-  if (!st.ok()) return fail(st);
-  mark_step(RerandStep::kRewriteStacks);
-
-  st = CheckFailpoint(RerandStep::kPatchPointers);
-  if (!st.ok()) return fail(st);
-  st = PatchPointers(old_symbol_addrs, &journal, report);
-  if (!st.ok()) return fail(st);
-  mark_step(RerandStep::kPatchPointers);
-
-  st = CheckFailpoint(RerandStep::kPatchModules);
-  if (!st.ok()) return fail(st);
-  st = PatchModules(old_symbol_addrs, &journal, report);
-  if (!st.ok()) return fail(st);
-  mark_step(RerandStep::kPatchModules);
-
-  st = CheckFailpoint(RerandStep::kVerify);
-  if (!st.ok()) return fail(st);
-  if (options_.verify_after) {
-    VerifyOptions vo = VerifyOptions::ForConfig(kernel_->config);
-    if (vo.AnyChecks()) {
-      VerifyReport vr = VerifyImage(image, vo);
-      if (!vr.ok()) {
-        return fail(InternalError("rerand: post-epoch verification failed:\n" + vr.Summary(8)));
-      }
-      report->verified = true;
-    }
-  }
-  mark_step(RerandStep::kVerify);
 
   // Commit: every block cache must re-decode under the new layout, and each
   // registered Cpu re-resolves the (moved) krx_handler extent it caches.
-  image.BumpTextGeneration();
+  kernel_->image->BumpTextGeneration();
   for (Cpu* cpu : cpus_) cpu->RefreshKrxHandlerRange();
   report->epoch = epochs_completed_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  report->stw_ms = MsSince(t_quiesced);
-  gate_.EndExclusive();
+  report->stw_ms = MsSince(e.t_quiesced);
   return Status::Ok();
 }
 

@@ -151,23 +151,22 @@ class RerandEngine {
  private:
   struct Journal;
   struct Layout;
+  struct Epoch;
 
-  Status DoEpoch(RerandTrigger trigger, EpochReport* report);
+  // Runs the steps in RerandStep order from one table; a failed step (or
+  // a failpoint before it) rolls the epoch back.
+  Status DoEpoch(EpochReport* report);
   Status CheckFailpoint(RerandStep step);
-  Status DrawLayout(Layout* layout);
-  Status PatchText(const Layout& layout, Journal* journal);
-  Status RotateKeys(std::vector<uint64_t>* old_keys, std::vector<uint64_t>* new_keys,
-                    Journal* journal, EpochReport* report);
-  Status RewriteStacks(const std::vector<uint64_t>& old_offsets,
-                       const std::vector<uint64_t>& old_keys,
-                       const std::vector<uint64_t>& new_keys, Journal* journal,
-                       EpochReport* report);
-  Status PatchPointers(const std::vector<uint64_t>& old_symbol_addrs, Journal* journal,
-                       EpochReport* report);
-  Status PatchModules(const std::vector<uint64_t>& old_symbol_addrs, Journal* journal,
-                      EpochReport* report);
-  void Rollback(const Journal& journal, const std::vector<uint64_t>& old_symbol_addrs,
-                const std::vector<uint64_t>& old_offsets);
+  // The steps, one per RerandStep, sharing the epoch's state.
+  Status Quiesce(Epoch& e);
+  Status Relayout(Epoch& e);
+  Status PatchText(Epoch& e);
+  Status RotateKeys(Epoch& e);
+  Status RewriteStacks(Epoch& e);
+  Status PatchPointers(Epoch& e);
+  Status PatchModules(Epoch& e);
+  Status Verify(Epoch& e);
+  void Rollback(const Epoch& e);
 
   CompiledKernel* kernel_;
   RerandMap* map_;

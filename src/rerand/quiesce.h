@@ -51,41 +51,31 @@ class QuiesceGate {
     if (active_runs_ == 0) cv_.notify_all();
   }
 
-  // Writer side: an epoch. Returns once every in-flight run has drained;
-  // new runs are held at BeginRun until EndExclusive.
-  void BeginExclusive() {
+  // Writer side: an epoch or a checkpoint. Waits until every in-flight run
+  // has drained, then holds the gate exclusively (new runs wait at BeginRun
+  // until EndExclusive) and returns true. `timeout_ms` bounds the wait
+  // (0 = unbounded): when in-flight runs do not drain in time, nothing is
+  // acquired and it returns false — the supervision layer's abort path, so
+  // a wedged reader bounds the writer's wait instead of hanging it.
+  bool BeginExclusive(uint64_t timeout_ms = 0) {
     std::unique_lock<std::mutex> lock(mu_);
     ++writers_waiting_;
-    if (exclusive_ || active_runs_ != 0) {
+    const auto drained = [this] { return !exclusive_ && active_runs_ == 0; };
+    if (!drained()) {
       const uint64_t t0 = WaitClockUs();
-      cv_.wait(lock, [this] { return !exclusive_ && active_runs_ == 0; });
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+      while (!drained()) {
+        if (timeout_ms == 0) {
+          cv_.wait(lock);
+        } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+          break;
+        }
+      }
       RecordWait(/*writer=*/true, WaitClockUs() - t0);
     }
     --writers_waiting_;
-    exclusive_ = true;
-  }
-  void EndExclusive() {
-    std::lock_guard<std::mutex> lock(mu_);
-    exclusive_ = false;
-    cv_.notify_all();
-  }
-
-  // Bounded-wait writer acquisition: true = gate held exclusively (caller
-  // must EndExclusive), false = in-flight runs did not drain within
-  // `timeout` and nothing was acquired. The supervision layer's epoch abort
-  // path: a wedged reader bounds the epoch's wait instead of hanging it.
-  bool BeginExclusiveFor(std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++writers_waiting_;
-    bool drained = !exclusive_ && active_runs_ == 0;
-    if (!drained) {
-      const uint64_t t0 = WaitClockUs();
-      drained = cv_.wait_for(lock, timeout,
-                             [this] { return !exclusive_ && active_runs_ == 0; });
-      RecordWait(/*writer=*/true, WaitClockUs() - t0);
-    }
-    --writers_waiting_;
-    if (!drained) {
+    if (!drained()) {
       KRX_COUNTER_ADD("quiesce.writer_timeouts", 1);
       // Writer priority held readers out while we waited; release them.
       if (writers_waiting_ == 0) cv_.notify_all();
@@ -93,6 +83,11 @@ class QuiesceGate {
     }
     exclusive_ = true;
     return true;
+  }
+  void EndExclusive() {
+    std::lock_guard<std::mutex> lock(mu_);
+    exclusive_ = false;
+    cv_.notify_all();
   }
 
   // Snapshot for diagnostics/benchmarks; racy by nature.
@@ -138,6 +133,26 @@ class QuiesceRunScope {
 
  private:
   QuiesceGate* gate_;
+};
+
+// RAII writer scope with the gate's optional bound (`timeout_ms`, 0 =
+// unbounded): acquired() says whether the gate is held; a scope that timed
+// out holds nothing. A null gate (ungated machine) counts as acquired.
+class QuiesceExclusiveScope {
+ public:
+  QuiesceExclusiveScope(QuiesceGate* gate, uint64_t timeout_ms)
+      : gate_(gate), acquired_(gate == nullptr || gate->BeginExclusive(timeout_ms)) {}
+  ~QuiesceExclusiveScope() {
+    if (gate_ != nullptr && acquired_) gate_->EndExclusive();
+  }
+  QuiesceExclusiveScope(const QuiesceExclusiveScope&) = delete;
+  QuiesceExclusiveScope& operator=(const QuiesceExclusiveScope&) = delete;
+
+  bool acquired() const { return acquired_; }
+
+ private:
+  QuiesceGate* gate_;
+  bool acquired_;
 };
 
 }  // namespace krx

@@ -10,10 +10,6 @@ namespace {
 
 constexpr const char* kXkeyPrefix = "xkey$";
 
-bool IsCallOpcode(Opcode op) {
-  return op == Opcode::kCallRel || op == Opcode::kCallR || op == Opcode::kCallM;
-}
-
 }  // namespace
 
 Result<std::shared_ptr<const PristineText>> CapturePristineText(TextBlob captured) {
@@ -39,7 +35,7 @@ Result<std::shared_ptr<const PristineText>> CapturePristineText(TextBlob capture
                              dec.status().message());
       }
       off += dec->size;
-      if (IsCallOpcode(dec->inst.op)) {
+      if (dec->inst.IsCall()) {
         sites.push_back(off - fn.offset);
       }
     }
@@ -47,26 +43,26 @@ Result<std::shared_ptr<const PristineText>> CapturePristineText(TextBlob capture
 
   // Every text relocation must fall inside some function extent, or an epoch
   // could not shift it with its function. Over the extents sorted by start,
-  // a relocation is covered iff the furthest end among those starting at or
-  // before its field reaches past the field.
-  std::vector<std::pair<uint64_t, uint64_t>> extents;  // (start, furthest end so far)
-  extents.reserve(blob.functions.size());
-  for (const AssembledFunction& fn : blob.functions) {
-    extents.emplace_back(fn.offset, fn.offset + fn.size);
-  }
-  std::sort(extents.begin(), extents.end());
-  for (size_t i = 1; i < extents.size(); ++i) {
-    extents[i].second = std::max(extents[i].second, extents[i - 1].second);
-  }
+  // a relocation's owner is the last extent starting at or before its field,
+  // and the field must end inside it.
+  std::vector<uint32_t> by_start(blob.functions.size());
+  for (uint32_t i = 0; i < by_start.size(); ++i) by_start[i] = i;
+  auto end_of = [&](uint32_t i) { return blob.functions[i].offset + blob.functions[i].size; };
+  std::sort(by_start.begin(), by_start.end(), [&](uint32_t a, uint32_t b) {
+    return std::make_pair(blob.functions[a].offset, end_of(a)) <
+           std::make_pair(blob.functions[b].offset, end_of(b));
+  });
+  pristine->reloc_owners.reserve(blob.relocs.size());
   for (const Reloc& r : blob.relocs) {
     auto after = std::upper_bound(
-        extents.begin(), extents.end(), r.field_offset,
-        [](uint64_t field, const std::pair<uint64_t, uint64_t>& e) { return field < e.first; });
-    if (after == extents.begin() || std::prev(after)->second < r.field_offset + 4) {
+        by_start.begin(), by_start.end(), r.field_offset,
+        [&](uint64_t field, uint32_t i) { return field < blob.functions[i].offset; });
+    if (after == by_start.begin() || end_of(*std::prev(after)) < r.field_offset + 4) {
       return InternalError("RerandMap: text reloc at blob offset " +
                            std::to_string(r.field_offset) +
                            " lies outside every function extent");
     }
+    pristine->reloc_owners.push_back(*std::prev(after));
   }
   return std::shared_ptr<const PristineText>(std::move(pristine));
 }

@@ -73,13 +73,16 @@ struct RerandPtrSite {
 struct PristineText : TextBlob {
   // Parallel to `functions`: function-relative offsets just past each call.
   std::vector<std::vector<uint64_t>> return_sites;
+  // Parallel to `relocs`: the index in `functions` of the extent holding
+  // the relocated field (an epoch shifts the field with that function).
+  std::vector<uint32_t> reloc_owners;
 };
 
 // Captures `blob` as a build's immutable pristine text: decodes every
-// function extent for its return sites and proves that every text
-// relocation lies inside a function extent (an epoch could not shift it
-// otherwise). Fails on undecodable bytes inside an extent or on an
-// uncovered relocation.
+// function extent for its return sites and records the function extent
+// each text relocation lies in (an epoch could not shift it otherwise).
+// Fails on undecodable bytes inside an extent or on an uncovered
+// relocation.
 Result<std::shared_ptr<const PristineText>> CapturePristineText(TextBlob blob);
 
 struct RerandMap {

@@ -8,35 +8,6 @@
 #include "src/telemetry/telemetry.h"
 
 namespace krx {
-namespace {
-
-// Gate-exclusive section with an optional bounded wait. Returns false when
-// the quiesce timed out (nothing acquired).
-class ExclusiveScope {
- public:
-  ExclusiveScope(QuiesceGate* gate, uint64_t timeout_ms) : gate_(gate) {
-    if (gate_ == nullptr) {
-      acquired_ = true;
-    } else if (timeout_ms > 0) {
-      acquired_ = gate_->BeginExclusiveFor(std::chrono::milliseconds(timeout_ms));
-    } else {
-      gate_->BeginExclusive();
-      acquired_ = true;
-    }
-  }
-  ~ExclusiveScope() {
-    if (gate_ != nullptr && acquired_) {
-      gate_->EndExclusive();
-    }
-  }
-  bool acquired() const { return acquired_; }
-
- private:
-  QuiesceGate* gate_;
-  bool acquired_ = false;
-};
-
-}  // namespace
 
 void CheckpointManager::AddHostState(std::function<std::vector<uint64_t>()> save,
                                      std::function<void(const std::vector<uint64_t>&)> restore) {
@@ -54,7 +25,7 @@ uint64_t CheckpointManager::snapshot_bytes() const {
 }
 
 Status CheckpointManager::Capture(QuiesceGate* gate, uint64_t timeout_ms) {
-  ExclusiveScope scope(gate, timeout_ms);
+  QuiesceExclusiveScope scope(gate, timeout_ms);
   if (!scope.acquired()) {
     KRX_COUNTER_ADD("checkpoint.capture_timeouts", 1);
     return FailedPreconditionError("checkpoint: quiesce timed out; no snapshot taken");
@@ -95,7 +66,7 @@ Status CheckpointManager::Restore(QuiesceGate* gate, uint64_t timeout_ms) {
   if (!has_checkpoint_) {
     return FailedPreconditionError("checkpoint: Restore without a prior Capture");
   }
-  ExclusiveScope scope(gate, timeout_ms);
+  QuiesceExclusiveScope scope(gate, timeout_ms);
   if (!scope.acquired()) {
     KRX_COUNTER_ADD("checkpoint.restore_timeouts", 1);
     return FailedPreconditionError("checkpoint: quiesce timed out; state unchanged");

@@ -55,9 +55,10 @@ class CheckpointManager {
   void AddHostState(std::function<std::vector<uint64_t>()> save,
                     std::function<void(const std::vector<uint64_t>&)> restore);
 
-  // Snapshots the machine. With a gate, runs gate-exclusive; timeout_ms > 0
-  // bounds the quiesce wait (timeout = FailedPrecondition, no snapshot
-  // taken). Replaces any previous checkpoint.
+  // Snapshots the machine. With a gate, runs inside a QuiesceExclusiveScope
+  // whose wait `timeout_ms` bounds (0 = unbounded; timeout =
+  // FailedPrecondition, no snapshot taken). Replaces any previous
+  // checkpoint.
   Status Capture(QuiesceGate* gate = nullptr, uint64_t timeout_ms = 0);
 
   // Rewinds the machine to the last Capture. Same gating contract.

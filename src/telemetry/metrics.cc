@@ -28,12 +28,6 @@ void AppendU64(std::string* out, uint64_t v) {
   out->append(buf);
 }
 
-void AppendI64(std::string* out, int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out->append(buf);
-}
-
 void AppendCsvField(std::string* out, const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) {
     out->append(s);
@@ -81,10 +75,6 @@ std::vector<uint64_t> LatencyBucketsUs() {
           200000, 500000, 1000000, 2000000, 5000000, 10000000};
 }
 
-std::vector<uint64_t> SmallCountBuckets() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096};
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked for the same reason as the ring registry: hot paths cache
   // references in function-local statics whose destruction order relative
@@ -98,15 +88,6 @@ Counter& MetricsRegistry::GetCounter(const std::string& name, bool timing) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(name, std::make_unique<Counter>(name, timing)).first;
-  }
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name, bool timing) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::make_unique<Gauge>(name, timing)).first;
   }
   return *it->second;
 }
@@ -126,9 +107,6 @@ void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) {
     c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
   }
   for (auto& [name, h] : histograms_) {
     h->Reset();
@@ -154,21 +132,6 @@ std::string MetricsRegistry::SnapshotJson(bool include_timing, const std::string
     AppendEscaped(&out, name);
     out += "\": ";
     AppendU64(&out, c->value());
-  }
-  out += first ? "},\n" : "\n" + in1 + "},\n";
-
-  out += in1 + "\"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (g->timing() && !include_timing) {
-      continue;
-    }
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += in2 + "\"";
-    AppendEscaped(&out, name);
-    out += "\": ";
-    AppendI64(&out, g->value());
   }
   out += first ? "},\n" : "\n" + in1 + "},\n";
 
@@ -218,16 +181,6 @@ std::string MetricsRegistry::SnapshotCsv(bool include_timing) const {
     AppendCsvField(&out, name);
     out += ",";
     AppendU64(&out, c->value());
-    out += "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    if (g->timing() && !include_timing) {
-      continue;
-    }
-    out += "gauge,";
-    AppendCsvField(&out, name);
-    out += ",";
-    AppendI64(&out, g->value());
     out += "\n";
   }
   for (const auto& [name, h] : histograms_) {

@@ -1,5 +1,5 @@
-// Process-wide metrics registry: counters, gauges and fixed-bucket
-// histograms with JSON snapshot export.
+// Process-wide metrics registry: counters and fixed-bucket histograms with
+// JSON snapshot export.
 //
 // Ownership: metric objects are created on first Get*() and are NEVER
 // destroyed or re-created — call sites may cache the returned reference in
@@ -43,22 +43,6 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-class Gauge {
- public:
-  explicit Gauge(std::string name, bool timing) : name_(std::move(name)), timing_(timing) {}
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-  bool timing() const { return timing_; }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::string name_;
-  bool timing_;
-  std::atomic<int64_t> value_{0};
-};
-
 // Fixed-bucket histogram. `bounds` are inclusive upper bounds in ascending
 // order; observations above the last bound land in the overflow bucket.
 class Histogram {
@@ -87,8 +71,7 @@ class Histogram {
 };
 
 // Bucket bounds reused across the instrumented subsystems.
-std::vector<uint64_t> LatencyBucketsUs();   // 1us .. ~10s, log-ish
-std::vector<uint64_t> SmallCountBuckets();  // 1 .. 4096, powers of two
+std::vector<uint64_t> LatencyBucketsUs();  // 1us .. ~10s, log-ish
 
 class MetricsRegistry {
  public:
@@ -97,7 +80,6 @@ class MetricsRegistry {
   // First call registers; later calls return the same object (the first
   // call's `timing` flag and — for histograms — bounds win).
   Counter& GetCounter(const std::string& name, bool timing = false);
-  Gauge& GetGauge(const std::string& name, bool timing = false);
   Histogram& GetHistogram(const std::string& name, std::vector<uint64_t> bounds,
                           bool timing = false);
 
@@ -112,7 +94,7 @@ class MetricsRegistry {
   std::string SnapshotJson(bool include_timing = true, const std::string& indent = "") const;
 
   // CSV form of the same snapshot: header `kind,name,value` followed by one
-  // row per counter/gauge and three rows per histogram (<name>.count,
+  // row per counter and three rows per histogram (<name>.count,
   // <name>.sum, <name>.overflow). Rows are sorted by (kind, name), so with
   // include_timing = false the document is as deterministic as the JSON
   // snapshot. Names containing `,` or `"` are quoted RFC-4180 style.
@@ -122,7 +104,6 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

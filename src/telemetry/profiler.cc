@@ -44,18 +44,19 @@ CheckCensus CensusOf(const FunctionExtent& fn, uint64_t handler_lo, uint64_t han
       }
       const Instruction& i = it->second.first;
       const int size = it->second.second;
-      if (i.op == Opcode::kJmpRel || i.op == Opcode::kCallRel) {
-        // The violation block is `callq krx_handler; hlt` — a call into the
-        // handler reaches it just as surely as a jump.
-        va = va + static_cast<uint64_t>(size) + static_cast<uint64_t>(i.imm);
-        continue;
+      switch (OpcodeInfoOf(i.op).flow) {
+        case Flow::kNone:
+          va += static_cast<uint64_t>(size);  // straight-line (mov reason, ...)
+          continue;
+        case Flow::kJump:
+        case Flow::kCall:
+          // The violation block is `callq krx_handler; hlt` — a call into
+          // the handler reaches it just as surely as a jump.
+          va = va + static_cast<uint64_t>(size) + static_cast<uint64_t>(i.imm);
+          continue;
+        default:
+          return false;  // a branch, an indirect transfer, ret, a trap or hlt
       }
-      if (i.op == Opcode::kRet || i.op == Opcode::kJcc || i.op == Opcode::kJmpR ||
-          i.op == Opcode::kJmpM || i.op == Opcode::kCallR || i.op == Opcode::kCallM ||
-          i.op == Opcode::kHlt || i.op == Opcode::kUd2) {
-        return false;
-      }
-      va += static_cast<uint64_t>(size);  // straight-line (mov reason, ...)
     }
     return false;
   };

@@ -217,7 +217,6 @@ class SpanScope {
 // Statement form: span covers the rest of the enclosing scope.
 #define KRX_TRACE_SPAN_SCOPED(name) \
   ::krx::telemetry::SpanScope KRX_TELE_CAT(krx_tele_span_, __LINE__)(name)
-#define KRX_TRACE_SPAN(name) KRX_TRACE_SPAN_SCOPED(name)
 #define KRX_TRACE_EVENT(type, name, arg0, arg1) \
   ::krx::telemetry::EmitEvent(::krx::telemetry::TraceEventType::type, (name), (arg0), (arg1))
 

@@ -64,9 +64,23 @@ TEST_F(MmuTest, CrossPageAccess) {
   auto r = mmu_.Read64(0x8FFC);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, 0x1122334455667788ULL);
+  // A read-only second page: the straddling store raises write-protect on
+  // that page before it writes any byte, so the first page keeps its old
+  // bytes (x86 takes the #PF before the store commits).
+  pt_.Unmap(0x9000);
+  pt_.Map(0x9000, 6, PteFlags{true, false, true});
+  auto st = mmu_.Write64(0x8FFC, 0xAABBCCDDEEFF0011ULL);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(mmu_.last_fault().kind, FaultKind::kWriteProtect);
+  EXPECT_EQ(mmu_.last_fault().vaddr, 0x9000u);
+  auto after = mmu_.Read64(0x8FFC);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, 0x1122334455667788ULL);
   // Unmap the second page: the straddling access now faults.
   pt_.Unmap(0x9000);
   EXPECT_FALSE(mmu_.Read64(0x8FFC).ok());
+  EXPECT_EQ(mmu_.last_fault().kind, FaultKind::kNotPresent);
+  EXPECT_EQ(mmu_.last_fault().vaddr, 0x9000u);
 }
 
 TEST_F(MmuTest, FetchStopsAtUnmappedBoundary) {

@@ -141,6 +141,35 @@ TEST(ModuleUnload, ZapsTextAndZeroesXkeys) {
   }
 }
 
+// A load that fails after its text was placed and keyed (just before the
+// physmap synonyms go) leaves the text frames as Unload does: body zapped
+// with the pad byte, xkey tail zeroed. Two identical images place the
+// module in the same frames; one load fails, the other loads and unloads.
+TEST(ModuleRollback, FailedLoadLeavesTheTextAsUnloadDoes) {
+  Env failed = MakeEnv(17);
+  Env unloaded = MakeEnv(17);
+  auto failed_mod = MakeProbeModule(failed, "twin");
+  auto unloaded_mod = MakeProbeModule(unloaded, "twin");
+  ASSERT_TRUE(failed_mod.ok() && unloaded_mod.ok());
+
+  failed.loader->set_failpoint(ModuleLoadStep::kUnmapSynonyms);
+  ASSERT_FALSE(failed.loader->Load(*failed_mod).ok());
+  auto handle = unloaded.loader->Load(*unloaded_mod);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const LoadedModule lm = unloaded.loader->module(*handle);  // copy before unload
+  ASSERT_GT(lm.xkey_bytes, 0u);
+  ASSERT_TRUE(unloaded.loader->Unload(*handle).ok());
+
+  const uint64_t base = lm.text_first_frame << kPageShift;
+  const uint64_t xkeys_start = lm.text_size - lm.xkey_bytes;
+  for (uint64_t off = 0; off < (lm.text_pages << kPageShift); ++off) {
+    const uint8_t want = off >= xkeys_start && off < lm.text_size ? 0 : kTextPadByte;
+    ASSERT_EQ(unloaded.kernel.image->phys().Read8(base + off), want) << "unload, offset " << off;
+    ASSERT_EQ(failed.kernel.image->phys().Read8(base + off), want) << "failed load, offset "
+                                                                    << off;
+  }
+}
+
 TEST(ModuleReload, FailThenLoadThenUnloadLeavesNoResidue) {
   Env env = MakeEnv(13);
   KernelImage& image = *env.kernel.image;

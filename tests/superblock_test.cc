@@ -294,6 +294,31 @@ TEST(SuperblockInvalidation, StoresBumpTheTextGenerationOnlyWhenTheyWriteCode) {
     EXPECT_GT(image.text_generation(), before) << ctx;
   }
   EXPECT_EQ(*image.Peek64(crossing), *same);
+
+  // A crossing store whose first page is a writable synonym of the last
+  // text frame and whose second page is read-only raises write-protect
+  // before it writes: no code byte changes, on any engine.
+  const uint64_t after_text = text->first_frame + (text->mapped_size >> kPageShift);
+  ASSERT_TRUE(image.FrameIsCode(after_text - 1));
+  const uint64_t read_only = image.PhysmapVaddr(after_text);
+  Pte* pte = image.page_table().LookupMutable(read_only);
+  ASSERT_NE(pte, nullptr);
+  const PteFlags saved = pte->flags;
+  pte->flags.writable = false;
+  image.page_table().BumpGeneration();
+  const uint64_t blocked = read_only - 4;
+  auto code_bytes = image.Peek64(blocked);
+  ASSERT_TRUE(code_bytes.ok());
+  for (const RunOptions& engine : {SingleStep(), Cached(), Superblocked()}) {
+    const std::string ctx = "engine " + std::to_string(static_cast<int>(engine.engine));
+    Cpu cpu(&image);
+    RunResult r = cpu.CallFunction("smc_store", {blocked, ~*code_bytes}, engine);
+    EXPECT_EQ(r.reason, StopReason::kException) << ctx;
+    EXPECT_EQ(r.exception, ExceptionKind::kPageFault) << ctx;
+    EXPECT_EQ(*image.Peek64(blocked), *code_bytes) << ctx;
+  }
+  image.page_table().LookupMutable(read_only)->flags = saved;
+  image.page_table().BumpGeneration();
 }
 
 // The inline TLB revalidates against the page-generation counter: an unmap

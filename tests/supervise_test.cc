@@ -285,7 +285,7 @@ TEST(Deadline, RequestPreemptStopsARunFromAnotherThread) {
 TEST(QuiesceGate, BoundedWriterTimesOutReleasesReadersAndRecovers) {
   QuiesceGate gate;
   gate.BeginRun();  // a reader that never drains
-  EXPECT_FALSE(gate.BeginExclusiveFor(std::chrono::milliseconds(20)));
+  EXPECT_FALSE(gate.BeginExclusive(/*timeout_ms=*/20));
 
   // The failed writer must not leave readers held out (writer priority is
   // released on timeout): a new reader gets through promptly.
@@ -299,7 +299,7 @@ TEST(QuiesceGate, BoundedWriterTimesOutReleasesReadersAndRecovers) {
   reader.join();
 
   gate.EndRun();
-  ASSERT_TRUE(gate.BeginExclusiveFor(std::chrono::milliseconds(20)));
+  ASSERT_TRUE(gate.BeginExclusive(/*timeout_ms=*/20));
   gate.EndExclusive();
 }
 

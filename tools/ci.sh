@@ -20,9 +20,13 @@
 # Produces the BENCH_fault.json, BENCH_rerand.json, BENCH_perf.json,
 # BENCH_chaos.json, BENCH_fleet.json, BENCH_trace.json, BENCH_spec.json and
 # BENCH_attacks_trace.json artifacts.
+# The fault labels include fault_campaign_golden, which pins the campaign's
+# report byte for byte to tests/golden/fault_campaign.txt.
 # The full (non-quick) run re-verifies under the ASan preset and adds a
-# ThreadSanitizer preset pass over the telemetry-, superblock- and
-# fleet-labelled suites.
+# ThreadSanitizer preset pass over the telemetry-, superblock-, fleet- and
+# rerand-labelled suites (rerand: epochs under live gated Cpus, the bounded
+# writer wait). The supervise label stays out until FakeClock::Advance no
+# longer notifies a sleeper's condition variable after it has returned.
 #
 # Usage: tools/ci.sh [--quick]
 #   --quick   skip the ASan and TSan presets (default preset stages only)
@@ -150,7 +154,7 @@ if [ "$QUICK" -eq 0 ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j
 
-  echo "==> telemetry + concurrency + superblock + fleet suites (tsan preset)"
+  echo "==> telemetry + concurrency + superblock + fleet + rerand suites (tsan preset)"
   ctest --preset tsan -j8
 fi
 
